@@ -29,9 +29,10 @@ job:
 """
 
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
+from repro.automata.canonical import CanonicalFormCache
 from repro.automata.dfa import DFA, symbol_sort_key, word_sort_key
 from repro.automata.determinize import regex_to_dfa
 from repro.automata.equivalence import equivalent
@@ -48,6 +49,7 @@ from repro.learning.examples import ExampleSet
 from repro.learning.learner import PathQueryLearner
 from repro.query.engine import QueryEngine
 from repro.regex.ast import EMPTY, EPSILON, Regex, Symbol
+from repro.serving.workspace import GraphWorkspace
 
 from conftest import write_artifact
 
@@ -349,7 +351,12 @@ def seed_canonical_form(dfa: DFA):
 
 @contextmanager
 def seed_kernel():
-    """Swap the pre-change automata kernel into the learner / query layers."""
+    """Swap the pre-change automata kernel into the learner / query layers.
+
+    The learner wraps hypotheses through its workspace's
+    :class:`CanonicalFormCache`, so the cache's ``canonical_form`` is
+    swapped too: the seed presented every hypothesis uncached.
+    """
     import repro.learning.learner as learner_module
     import repro.query.engine as engine_module
     import repro.query.rpq as rpq_module
@@ -358,16 +365,19 @@ def seed_kernel():
         learner_module.generalize_pta,
         rpq_module.canonical_form,
         engine_module.minimize,
+        CanonicalFormCache.canonical_form,
     )
     learner_module.generalize_pta = seed_generalize_pta
     rpq_module.canonical_form = seed_canonical_form
     engine_module.minimize = seed_minimize
+    CanonicalFormCache.canonical_form = lambda cache, dfa: seed_canonical_form(dfa)
     try:
         yield
     finally:
         learner_module.generalize_pta = saved[0]
         rpq_module.canonical_form = saved[1]
         engine_module.minimize = saved[2]
+        CanonicalFormCache.canonical_form = saved[3]
 
 
 # ----------------------------------------------------------------------
@@ -375,8 +385,8 @@ def seed_kernel():
 # ----------------------------------------------------------------------
 def _run_session(dataset: str, goal: str, max_path_length: int):
     graph = dataset_catalog()[dataset].copy()
-    engine = QueryEngine()
-    user = SimulatedUser(graph, goal, engine=engine)
+    workspace = GraphWorkspace(engine=QueryEngine())
+    user = SimulatedUser(graph, goal, workspace=workspace)
     session = InteractiveSession(
         graph,
         user,
@@ -384,7 +394,7 @@ def _run_session(dataset: str, goal: str, max_path_length: int):
             [UserSatisfied(user.goal_answer), MaxInteractions(MAX_INTERACTIONS)]
         ),
         max_path_length=max_path_length,
-        engine=engine,
+        workspace=workspace,
     )
     result = session.run()
     return graph, session, result
@@ -575,12 +585,11 @@ def _interaction_batches(history) -> List[List[object]]:
     return batches
 
 
-def _replay_learning(graph, history, max_path_length, generalize=True) -> Optional[object]:
+def _replay_learning(graph, history, max_path_length, workspace) -> Optional[object]:
     """Re-run the learner after every recorded user answer (the paper's
     'time-efficient between interactions' step), returning the last query."""
     replay = ExampleSet()
-    learner = PathQueryLearner(graph, max_path_length=max_path_length, engine=QueryEngine())
-    learner.generalize = generalize
+    learner = PathQueryLearner(graph, max_path_length=max_path_length, workspace=workspace)
     query = None
     for batch in _interaction_batches(history):
         for example in batch:
@@ -596,6 +605,31 @@ def _replay_learning(graph, history, max_path_length, generalize=True) -> Option
     return query
 
 
+def _best_replays(graph, history, max_path_length) -> Dict[bool, Tuple[float, object]]:
+    """Best-of-``TRIALS`` replay time and last query, keyed by "seed kernel?".
+
+    The two kernels alternate trial by trial, so machine drift hits both.
+    Each trial replays into a fresh workspace with its own empty
+    canonical-form cache (the process-wide cache already holds this
+    session's hypotheses), and its language index is built before the
+    clock starts: the index build is step (i)'s cost, shared by both
+    kernels, and would otherwise drown the kernel's share.
+    """
+    best: Dict[bool, Tuple[float, object]] = {}
+    for _ in range(TRIALS):
+        for seed in (False, True):
+            # repro-lint: disable=REP201 -- every timed replay starts with a cold canonical-form cache
+            workspace = GraphWorkspace(engine=QueryEngine(), canonical=CanonicalFormCache())
+            workspace.language_index(graph, max_path_length)
+            with seed_kernel() if seed else nullcontext():
+                started = time.perf_counter()
+                query = _replay_learning(graph, history, max_path_length, workspace)
+                elapsed = time.perf_counter() - started
+            if seed not in best or elapsed < best[seed][0]:
+                best[seed] = (elapsed, query)
+    return best
+
+
 def test_relearn_latency_improvement(results_dir):
     total_seed = total_new = 0.0
     interactions = 0
@@ -604,21 +638,13 @@ def test_relearn_latency_improvement(results_dir):
         history = session.examples.history
         interactions += result.interactions
 
-        new_query = [None]
-        seed_query = [None]
-
-        def run_new(graph=graph, history=history, bound=max_path_length, out=new_query):
-            out[0] = _replay_learning(graph, history, bound)
-
-        def run_seed(graph=graph, history=history, bound=max_path_length, out=seed_query):
-            with seed_kernel():
-                out[0] = _replay_learning(graph, history, bound)
-
-        total_new += _best_of(run_new)
-        total_seed += _best_of(run_seed)
-        assert (new_query[0] is None) == (seed_query[0] is None)
-        if new_query[0] is not None:
-            assert equivalent(new_query[0].dfa, seed_query[0].dfa)
+        best = _best_replays(graph, history, max_path_length)
+        (new_seconds, new_query), (seed_seconds, seed_query) = best[False], best[True]
+        total_new += new_seconds
+        total_seed += seed_seconds
+        assert (new_query is None) == (seed_query is None)
+        if new_query is not None:
+            assert equivalent(new_query.dfa, seed_query.dfa)
 
     speedup = total_seed / total_new
     write_artifact(

@@ -40,6 +40,7 @@ from repro.learning.informativeness import NodeStatus, SessionClassifier
 from repro.learning.learner import PathQueryLearner
 from repro.learning.path_selection import _endpoints_of
 from repro.query.engine import QueryEngine
+from repro.serving.workspace import GraphWorkspace
 
 from conftest import write_artifact
 
@@ -159,11 +160,6 @@ def _seed_candidate_prefix_tree(graph, node, negatives, max_length, preferred_le
 class _SeedLearner(PathQueryLearner):
     """The learner with the pre-index step (i) and compatibility predicate."""
 
-    def __init__(self, graph, *, max_path_length, engine):
-        super().__init__(
-            graph, max_path_length=max_path_length, engine=engine, compatibility="engine"
-        )
-
     def select_sample_words(self, examples):
         chosen = {}
         negatives = examples.negative_nodes
@@ -182,13 +178,25 @@ class _SeedLearner(PathQueryLearner):
                 ) from error
         return chosen
 
+    def _compatible(self, examples):
+        """Pre-index predicate: re-walk the graph per negative per candidate."""
+        graph = self.graph
+        selects = self.engine.selects
+        negatives = sorted(examples.negative_nodes, key=str)
 
-def _run_legacy_session(graph, goal, *, engine=None):
+        def check(candidate):
+            return not any(selects(graph, candidate, node) for node in negatives)
+
+        return check
+
+
+def _run_legacy_session(graph, goal):
     """The Figure 2 loop wired through the seed implementations only."""
-    engine = engine or QueryEngine()
-    user = SimulatedUser(graph, goal, engine=engine)
+    workspace = GraphWorkspace(engine=QueryEngine())
+    engine = workspace.engine
+    user = SimulatedUser(graph, goal, workspace=workspace)
     examples = ExampleSet()
-    learner = _SeedLearner(graph, max_path_length=MAX_PATH_LENGTH, engine=engine)
+    learner = _SeedLearner(graph, max_path_length=MAX_PATH_LENGTH, workspace=workspace)
     halt = AnyOf([UserSatisfied(user.goal_answer), MaxInteractions(MAX_INTERACTIONS)])
     hypothesis = None
     trace = []
@@ -251,9 +259,9 @@ def _run_legacy_session(graph, goal, *, engine=None):
     return trace, hypothesis, halted_by
 
 
-def _run_current_session(graph, goal, *, engine=None):
-    engine = engine or QueryEngine()
-    user = SimulatedUser(graph, goal, engine=engine)
+def _run_current_session(graph, goal):
+    workspace = GraphWorkspace(engine=QueryEngine())
+    user = SimulatedUser(graph, goal, workspace=workspace)
     session = InteractiveSession(
         graph,
         user,
@@ -261,7 +269,7 @@ def _run_current_session(graph, goal, *, engine=None):
             [UserSatisfied(user.goal_answer), MaxInteractions(MAX_INTERACTIONS)]
         ),
         max_path_length=MAX_PATH_LENGTH,
-        engine=engine,
+        workspace=workspace,
     )
     result = session.run()
     return result.interaction_trace(), result.learned_query, result.halted_by

@@ -21,7 +21,6 @@ from repro.graph.labeled_graph import LabeledGraph
 from repro.learning.examples import ExampleSet
 from repro.query.engine import QueryEngine
 from repro.query.rpq import PathQuery
-from repro.serving.workspace import default_workspace
 
 
 @dataclass
@@ -34,7 +33,7 @@ class HaltContext:
     interactions: int
     informative_remaining: int
     #: engine answering query-evaluation questions (cached per session)
-    engine: Optional[QueryEngine] = None
+    engine: QueryEngine
 
 
 class HaltCondition(ABC):
@@ -96,8 +95,7 @@ class UserSatisfied(HaltCondition):
     def satisfied(self, context: HaltContext) -> bool:
         if context.hypothesis is None:
             return False
-        engine = context.engine or default_workspace().engine
-        return frozenset(engine.evaluate(context.graph, context.hypothesis)) == self.target_answer
+        return frozenset(context.engine.evaluate(context.graph, context.hypothesis)) == self.target_answer
 
 
 class GoalQueryReached(HaltCondition):

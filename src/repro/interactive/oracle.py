@@ -36,7 +36,6 @@ from repro.automata.prefix_tree import PathPrefixTree
 from repro.exceptions import InjectedFault, OracleError
 from repro.graph.labeled_graph import LabeledGraph, Node
 from repro.graph.neighborhood import Neighborhood
-from repro.query.engine import QueryEngine
 from repro.query.evaluation import witness_path
 from repro.query.rpq import PathQuery
 from repro.regex.ast import Regex
@@ -54,15 +53,12 @@ class SimulatedUser:
         goal: Union[str, Regex, PathQuery],
         *,
         zoom_patience: int = 2,
-        engine: Optional[QueryEngine] = None,
         workspace=None,
     ):
         self.graph = graph
         self.goal = goal if isinstance(goal, PathQuery) else PathQuery(goal)
         self.zoom_patience = zoom_patience
-        if engine is None:
-            engine = workspace.engine if workspace is not None else default_workspace().engine
-        self.engine = engine
+        self.engine = (workspace or default_workspace()).engine
         self._answer = frozenset(self.engine.evaluate(graph, self.goal))
         #: statistics the experiment harness reads back
         self.labels_answered = 0
@@ -174,12 +170,9 @@ class NoisyUser(SimulatedUser):
         noise: float = 0.1,
         seed: Optional[int] = None,
         zoom_patience: int = 2,
-        engine: Optional[QueryEngine] = None,
         workspace=None,
     ):
-        super().__init__(
-            graph, goal, zoom_patience=zoom_patience, engine=engine, workspace=workspace
-        )
+        super().__init__(graph, goal, zoom_patience=zoom_patience, workspace=workspace)
         if not 0.0 <= noise <= 1.0:
             raise ValueError("noise must be within [0, 1]")
         self.noise = noise

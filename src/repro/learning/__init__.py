@@ -1,7 +1,7 @@
 """Learning engine: examples, consistency, path selection, the two-step learner."""
 
 from repro.learning.examples import ExampleSet, LabeledExample
-from repro.learning.consistency import ConsistencyReport, check_consistency, is_consistent
+from repro.learning.consistency import ConsistencyReport, check_consistency
 from repro.learning.path_selection import (
     candidate_prefix_tree,
     consistent_words_for,
@@ -44,7 +44,6 @@ __all__ = [
     "LabeledExample",
     "ConsistencyReport",
     "check_consistency",
-    "is_consistent",
     "candidate_prefix_tree",
     "consistent_words_for",
     "covered_words",

@@ -89,17 +89,6 @@ def check_consistency(
     )
 
 
-def is_consistent(
-    graph: LabeledGraph,
-    query: QueryLike,
-    examples: ExampleSet,
-    *,
-    engine: Optional[QueryEngine] = None,
-) -> bool:
-    """Boolean shortcut for :func:`check_consistency`."""
-    return check_consistency(graph, query, examples, engine=engine).consistent
-
-
 def examples_admit_query(graph: LabeledGraph, examples: ExampleSet, *, max_path_length: int) -> bool:
     """True when *some* query consistent with ``examples`` can exist.
 

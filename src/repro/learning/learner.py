@@ -31,7 +31,6 @@ from repro.learning.consistency import ConsistencyReport, check_consistency
 from repro.learning.examples import ExampleSet, Word
 from repro.learning.language_index import CompatibilityOracle
 from repro.learning.path_selection import select_path
-from repro.query.engine import QueryEngine
 from repro.query.rpq import PathQuery
 
 #: Default bound on the length of candidate paths considered in step (i).
@@ -63,8 +62,6 @@ class PathQueryLearner:
         *,
         max_path_length: int = DEFAULT_MAX_PATH_LENGTH,
         generalize: bool = True,
-        engine: Optional[QueryEngine] = None,
-        compatibility: str = "indexed",
         workspace=None,
     ):
         self.graph = graph
@@ -72,30 +69,16 @@ class PathQueryLearner:
         #: when False the learner returns the ungeneralised disjunction of
         #: sample words (used by ablation experiments)
         self.generalize = generalize
-        #: the GraphWorkspace providing the language index and canonical
-        #: cache; defaults to the process workspace so standalone learners
-        #: keep sharing state with everything else
+        #: the GraphWorkspace providing the language index, canonical
+        #: cache and engine; defaults to the process workspace so
+        #: standalone learners keep sharing state with everything else
         if workspace is None:
             from repro.serving.workspace import default_workspace
 
             workspace = default_workspace()
         self.workspace = workspace
-        #: query engine used for consistency checks (and compatibility in
-        #: ``"engine"`` mode); an explicit ``engine`` wins over the
-        #: workspace's (ablation benchmarks isolate engines this way)
-        self.engine = engine if engine is not None else workspace.engine
-        if compatibility not in ("indexed", "engine"):
-            raise ValueError(
-                f"unknown compatibility mode {compatibility!r}; expected 'indexed' or 'engine'"
-            )
-        #: how merge candidates are checked against the negative examples:
-        #: ``"indexed"`` (default) intersects each candidate DFA with the
-        #: precompiled negative word-id cover of the shared language index
-        #: (one graph product pass at most, shared by all negatives);
-        #: ``"engine"`` re-walks the graph per negative per candidate —
-        #: the pre-index behaviour, kept for ablations and benchmarks.
-        #: Both modes accept and reject exactly the same candidates.
-        self.compatibility = compatibility
+        #: query engine used for consistency checks
+        self.engine = workspace.engine
 
     # ------------------------------------------------------------------
     # step (i): choose one uncovered word per positive node
@@ -142,23 +125,19 @@ class PathQueryLearner:
     # step (ii): PTA + state-merging generalisation
     # ------------------------------------------------------------------
     def _compatible(self, examples: ExampleSet):
-        """Compatibility predicate: the hypothesis must select no negative node."""
-        negatives = sorted(examples.negative_nodes, key=str)
-        if self.compatibility == "indexed":
-            oracle = CompatibilityOracle(
-                self.graph,
-                negatives,
-                max_length=self.max_path_length,
-                index=self.workspace.language_index(self.graph, self.max_path_length),
-            )
-            return oracle.compatible
-        graph = self.graph
-        selects = self.engine.selects
+        """Compatibility predicate: the hypothesis must select no negative node.
 
-        def check(candidate: DFA) -> bool:
-            return not any(selects(graph, candidate, node) for node in negatives)
-
-        return check
+        Each candidate DFA is intersected with the precompiled negative
+        word-id cover of the shared language index (one graph product
+        pass at most, shared by all negatives).
+        """
+        oracle = CompatibilityOracle(
+            self.graph,
+            sorted(examples.negative_nodes, key=str),
+            max_length=self.max_path_length,
+            index=self.workspace.language_index(self.graph, self.max_path_length),
+        )
+        return oracle.compatible
 
     def learn(self, examples: ExampleSet) -> LearningOutcome:
         """Run both steps and return the learned query with diagnostics.

@@ -13,6 +13,7 @@ from repro.interactive.halt import (
     default_halt_condition,
 )
 from repro.learning.examples import ExampleSet
+from repro.query.engine import QueryEngine
 from repro.query.rpq import PathQuery
 
 
@@ -23,6 +24,7 @@ def context(graph, hypothesis=None, interactions=0, informative_remaining=5) -> 
         hypothesis=hypothesis,
         interactions=interactions,
         informative_remaining=informative_remaining,
+        engine=QueryEngine(),
     )
 
 

@@ -166,34 +166,6 @@ class TestNoisyAndEdgeCases:
 
 
 class TestWorkspaceInjection:
-    def test_engine_kwarg_is_deprecated_but_works(self, figure1_graph):
-        from repro.query.engine import QueryEngine
-
-        engine = QueryEngine()
-        user = SimulatedUser(figure1_graph, GOAL, engine=engine)
-        with pytest.warns(DeprecationWarning):
-            session = InteractiveSession(
-                figure1_graph, user, max_interactions=25, engine=engine
-            )
-        assert session.engine is engine
-        assert session.workspace.engine is engine
-        result = session.run()
-        assert result.learned_query is not None
-
-    def test_conflicting_engine_and_workspace_rejected(self, figure1_graph):
-        from repro.query.engine import QueryEngine
-        from repro.serving import GraphWorkspace
-
-        user = SimulatedUser(figure1_graph, GOAL)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError):
-                InteractiveSession(
-                    figure1_graph,
-                    user,
-                    engine=QueryEngine(),
-                    workspace=GraphWorkspace(),
-                )
-
     def test_explicit_workspace_is_the_injection_point(self, figure1_graph):
         from repro.serving import GraphWorkspace
 

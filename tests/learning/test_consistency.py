@@ -1,6 +1,6 @@
 """Unit tests for the consistency checker."""
 
-from repro.learning.consistency import check_consistency, examples_admit_query, is_consistent
+from repro.learning.consistency import check_consistency, examples_admit_query
 from repro.learning.examples import ExampleSet
 from repro.query.rpq import PathQuery
 
@@ -23,7 +23,7 @@ class TestCheckConsistency:
 
     def test_bus_query_also_consistent_without_validation(self, figure1_graph):
         """Section 3: `bus` is consistent with {+N2, +N6, -N5} but is not the goal."""
-        assert is_consistent(figure1_graph, "bus", paper_examples())
+        assert check_consistency(figure1_graph, "bus", paper_examples()).consistent
 
     def test_missed_positive_detected(self, figure1_graph):
         report = check_consistency(figure1_graph, "cinema", paper_examples())
@@ -47,7 +47,7 @@ class TestCheckConsistency:
         assert not report.consistent
         assert ("bus", "tram", "cinema") in report.rejected_words
         # the goal query accepts it
-        assert is_consistent(figure1_graph, "(tram + bus)* . cinema", examples)
+        assert check_consistency(figure1_graph, "(tram + bus)* . cinema", examples).consistent
 
     def test_accepts_query_and_dfa_inputs(self, figure1_graph):
         query = PathQuery("(tram + bus)* . cinema")
@@ -55,7 +55,7 @@ class TestCheckConsistency:
         assert check_consistency(figure1_graph, query.dfa, paper_examples()).consistent
 
     def test_empty_example_set_always_consistent(self, figure1_graph):
-        assert is_consistent(figure1_graph, "anything-at-all*", ExampleSet())
+        assert check_consistency(figure1_graph, "anything-at-all*", ExampleSet()).consistent
 
 
 class TestExamplesAdmitQuery:

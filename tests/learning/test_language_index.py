@@ -30,7 +30,7 @@ from repro.learning.language_index import (
 )
 from repro.learning.learner import PathQueryLearner
 from repro.query.engine import QueryEngine
-from repro.serving.workspace import default_workspace
+from repro.serving.workspace import GraphWorkspace, default_workspace
 
 
 def language_index_for(graph, max_length):
@@ -365,6 +365,12 @@ class TestCompatibilityOracle:
                 assert oracle.compatible(candidate) == expected
 
     def test_learner_modes_learn_identical_queries(self):
+        # the learner's indexed compatibility learns exactly what RPNI
+        # learns under the reference per-negative engine.selects predicate
+        from repro.automata.state_merging import generalize_pta
+        from repro.query.rpq import PathQuery
+
+        learned_any = False
         for seed in range(6):
             rng = random.Random(seed)
             graph = random_graph(25, 75, ("a", "b", "c", "d"), seed=seed + 200)
@@ -376,25 +382,26 @@ class TestCompatibilityOracle:
                     examples.add_negative(node)
                 else:
                     examples.add_positive(node)
-            indexed = PathQueryLearner(
-                graph, max_path_length=4, compatibility="indexed", engine=QueryEngine()
-            )
-            via_engine = PathQueryLearner(
-                graph, max_path_length=4, compatibility="engine", engine=QueryEngine()
+            learner = PathQueryLearner(
+                graph, max_path_length=4, workspace=GraphWorkspace(engine=QueryEngine())
             )
             try:
-                learned_indexed = indexed.learn(examples)
+                learned = learner.learn(examples)
             except InconsistentExamplesError:
-                with pytest.raises(InconsistentExamplesError):
-                    via_engine.learn(examples)
                 continue
-            learned_engine = via_engine.learn(examples)
-            assert str(learned_indexed.query) == str(learned_engine.query)
-            assert learned_indexed.dfa.states == learned_engine.dfa.states
+            if not learned.sample_words:
+                continue
+            engine = QueryEngine()
+            negatives = sorted(examples.negative_nodes, key=str)
 
-    def test_unknown_compatibility_mode_rejected(self, figure1_graph):
-        with pytest.raises(ValueError):
-            PathQueryLearner(figure1_graph, compatibility="psychic")
+            def selects_no_negative(candidate, graph=graph, negatives=negatives):
+                return not any(engine.selects(graph, candidate, node) for node in negatives)
+
+            reference = PathQuery.from_dfa(generalize_pta(learned.sample_words, selects_no_negative))
+            assert str(learned.query) == str(reference)
+            assert learned.dfa.states == reference.dfa.states
+            learned_any = True
+        assert learned_any
 
 
 class TestIndexIsASnapshot:

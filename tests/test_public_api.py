@@ -101,6 +101,21 @@ class TestTopLevelExports:
         assert outcome.consistent
 
 
+class TestOneEngineSeam:
+    def test_components_take_no_engine_override(self):
+        # the workspace is the only way a component reaches an engine
+        import inspect
+
+        from repro.interactive.oracle import NoisyUser
+        from repro.interactive.strategies import STRATEGY_REGISTRY, make_strategy
+
+        components = [InteractiveSession, SimulatedUser, NoisyUser, PathQueryLearner, make_strategy]
+        for component in components + list(STRATEGY_REGISTRY.values()):
+            parameters = inspect.signature(component).parameters
+            for removed in ("engine", "compatibility", "neighborhood_index"):
+                assert removed not in parameters, f"{component.__name__}({removed}=)"
+
+
 class TestSubpackageImports:
     def test_subpackage_all_lists_resolve(self):
         import repro.automata as automata
