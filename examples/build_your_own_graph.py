@@ -104,15 +104,16 @@ def _scripted_order(order):
         name = "fixed-order"
 
         def __init__(self):
-            super().__init__(max_path_length=4)
             self._queue = list(order)
 
-        def propose(self, graph, examples):
+        def propose(self, classifier):
+            # the session's classifier holds the graph, the examples and
+            # the path bound; this strategy only needs the labelled nodes
             from repro.exceptions import NoCandidateNodeError
 
             while self._queue:
                 node = self._queue.pop(0)
-                if node not in examples.labeled_nodes:
+                if node not in classifier.examples.labeled_nodes:
                     return node
             raise NoCandidateNodeError("script exhausted")
 

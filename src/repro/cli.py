@@ -110,7 +110,7 @@ def _cmd_learn(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph, args.dataset)
     user = SimulatedUser(graph, args.goal)
-    strategy = make_strategy(args.strategy, seed=args.seed, max_path_length=args.max_path_length)
+    strategy = make_strategy(args.strategy, seed=args.seed)
     session = InteractiveSession(
         graph,
         user,

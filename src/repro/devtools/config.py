@@ -86,10 +86,7 @@ class LintConfig:
     #: call-graph hop budget for REP110 taint propagation
     taint_max_hops: int = 3
     #: ``Class.method`` roots REP310 reachability starts from
-    invalidation_roots: Tuple[str, ...] = (
-        "GraphWorkspace.refresh",
-        "GraphWorkspace.invalidate",
-    )
+    invalidation_roots: Tuple[str, ...] = ("GraphWorkspace.refresh",)
     #: diagnostics under these path prefixes are downgraded to warnings
     #: (the ``--include-tests`` warn-only mode)
     warn_path_prefixes: Tuple[str, ...] = ("tests/",)

@@ -10,9 +10,6 @@ checks for ("every session terminates").
 
 Sub-rules:
 
-* ``REP601`` — bare ``except:`` — catches ``SystemExit`` and
-  ``KeyboardInterrupt`` too; name the exceptions (or ``Exception``) and
-  let the supervisor see what happened;
 * ``REP602`` — ``except Exception:``/``except BaseException:`` whose
   body is only ``pass``/``...`` — silently swallowing all failures
   starves retry/breaker accounting; record, re-raise, or narrow;
@@ -174,16 +171,7 @@ def check_reliability(ctx: FileContext, config: LintConfig) -> Iterator[Diagnost
 
     for node in ast.walk(ctx.tree):
         if isinstance(node, ast.ExceptHandler):
-            if node.type is None:
-                emit(
-                    node,
-                    "REP601",
-                    "bare except: also catches SystemExit/KeyboardInterrupt "
-                    "and hides the failure from supervision; name the "
-                    "exception types",
-                    "except",
-                )
-            elif _caught_name(node) in _SWALLOW_TYPES and _is_pass_only(node.body):
+            if _caught_name(node) in _SWALLOW_TYPES and _is_pass_only(node.body):
                 emit(
                     node,
                     "REP602",

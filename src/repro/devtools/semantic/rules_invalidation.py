@@ -5,7 +5,7 @@ REP302 (syntactic) forces every version-snapshotting class to declare a
 against :data:`repro.serving.invalidation.WORKSPACE_HOOKS`.  Neither
 catches the third failure mode: a hook that is declared *and*
 registered but whose class is never actually reached from the
-workspace's refresh/invalidate paths — the cache exists, the paperwork
+workspace's refresh path — the cache exists, the paperwork
 is in order, and nobody ever refreshes it.  That is precisely the
 silent-staleness bug the hook system was built to prevent, so this rule
 closes the loop over the call graph:
@@ -14,8 +14,7 @@ closes the loop over the call graph:
   somewhere in the linted tree, and
 * the declaring class must be reachable (method call or construction,
   transitively) from the configured invalidation roots
-  (``GraphWorkspace.refresh`` / ``GraphWorkspace.invalidate`` by
-  default).
+  (``GraphWorkspace.refresh`` by default).
 
 The rule stands down when the linted tree contains no registry or none
 of the roots — linting a fixture package or a partial tree must not

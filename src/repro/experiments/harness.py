@@ -43,7 +43,6 @@ from repro.interactive.scenarios import (
 )
 from repro.interactive.session import InteractiveSession
 from repro.interactive.strategies import make_strategy
-from repro.learning.informativeness import pruned_nodes
 from repro.automata.state_merging import rpni
 from repro.query.rpq import PathQuery
 from repro.serving.workspace import GraphWorkspace, default_workspace
@@ -125,9 +124,9 @@ def e1_unit_rows(
 
     ``strategy`` may be ``"static"`` for the static-labelling baseline or
     any name from the strategy registry.  Every unit draws its shared
-    components (query engine, language indexes, classifiers) from
-    ``workspace`` — the process-wide default when omitted, so serial runs
-    on the same graph keep hitting warm caches.
+    components (query engine, language indexes) from ``workspace`` — the
+    process-wide default when omitted, so serial runs on the same graph
+    keep hitting warm caches.
     """
     goal_query = _coerce_query(goal)
     workspace = workspace if workspace is not None else default_workspace()
@@ -140,7 +139,7 @@ def e1_unit_rows(
         report = run_interactive_with_validation(
             graph,
             goal_query,
-            strategy=make_strategy(strategy, seed=seed, max_path_length=max_path_length),
+            strategy=make_strategy(strategy, seed=seed),
             max_interactions=max_interactions,
             max_path_length=max_path_length,
             workspace=workspace,
@@ -229,7 +228,7 @@ def e2_unit_rows(
         user_labeled = len(session.examples.user_positive_nodes) + len(
             session.examples.user_negative_nodes
         )
-        still_pruned = len(pruned_nodes(graph, session.examples, max_length=max_path_length))
+        still_pruned = sum(status.pruned for status in session.classifier.statuses().values())
         propagated = len(session.examples.labeled_nodes) - user_labeled
         settled = propagated + still_pruned
         remaining_pool = max(node_count - user_labeled, 1)

@@ -334,7 +334,7 @@ class NeighborhoodIndex:
     __slots__ = ("_graph_ref", "_version", "_states", "__weakref__")
 
     #: delta-refreshed (or cleared) via refresh(), which both _state()
-    #: and GraphWorkspace.refresh()/invalidate() drive.
+    #: and GraphWorkspace.refresh() drive.
     __workspace_hook__ = "workspace.neighborhoods"
 
     def __init__(self, graph: LabeledGraph):

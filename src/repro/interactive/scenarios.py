@@ -34,7 +34,7 @@ from repro.interactive.session import InteractiveSession
 from repro.interactive.strategies import Strategy
 from repro.learning.examples import ExampleSet
 from repro.learning.learner import DEFAULT_MAX_PATH_LENGTH, PathQueryLearner
-from repro.query.evaluation import selection_metrics
+from repro.query.engine import QueryEngine
 from repro.query.rpq import PathQuery
 from repro.regex.ast import Regex
 
@@ -75,6 +75,7 @@ class ScenarioReport:
 
 def _finalize(
     scenario: str,
+    engine: QueryEngine,
     graph: LabeledGraph,
     goal: PathQuery,
     learned: Optional[PathQuery],
@@ -89,7 +90,7 @@ def _finalize(
         metrics = {"precision": 0.0, "recall": 0.0, "f1": 0.0}
         exact = False
     else:
-        metrics = selection_metrics(graph, learned, goal)
+        metrics = engine.selection_metrics(graph, learned, goal)
         exact = learned.same_language(goal)
     return ScenarioReport(
         scenario=scenario,
@@ -160,6 +161,7 @@ def run_static_labeling(
             break
     return _finalize(
         "static",
+        learner.engine,
         graph,
         goal_query,
         learned,
@@ -205,6 +207,7 @@ def _run_interactive(
     result = session.run()
     return _finalize(
         scenario,
+        session.engine,
         graph,
         goal_query,
         result.learned_query,

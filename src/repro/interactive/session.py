@@ -39,6 +39,7 @@ from repro.interactive.halt import HaltCondition, HaltContext, default_halt_cond
 from repro.interactive.oracle import SimulatedUser
 from repro.interactive.strategies import MostInformativePathsStrategy, Strategy
 from repro.learning.examples import ExampleSet, Word
+from repro.learning.informativeness import SessionClassifier
 from repro.learning.learner import DEFAULT_MAX_PATH_LENGTH, PathQueryLearner
 from repro.learning.path_selection import candidate_prefix_tree
 from repro.learning.propagation import propagate_to_fixpoint
@@ -108,18 +109,21 @@ class InteractiveSession:
     """Drives the Figure 2 loop on one graph with one (simulated) user.
 
     Shared, read-mostly components — the query engine, language indexes,
-    the neighbourhood index, the informativeness classifier registry —
-    are drawn from a :class:`~repro.serving.workspace.GraphWorkspace`.
+    the neighbourhood index — are drawn from a
+    :class:`~repro.serving.workspace.GraphWorkspace`.
     Pass ``workspace=`` to make sharing explicit (a
     :class:`~repro.serving.manager.SessionManager` admits every session
     over its own workspace); without one the session uses the process
     default workspace, so single-session scripts share caches exactly as
     before.
 
-    Per-session state is only the :class:`ExampleSet`, the current
-    hypothesis and the interaction records.  To isolate a session's
-    engine, pass ``workspace=GraphWorkspace(engine=QueryEngine())``: the
-    workspace isolates the language and neighbourhood indexes with it.
+    Per-session state is only the :class:`ExampleSet`, its
+    :class:`~repro.learning.informativeness.SessionClassifier`, the
+    current hypothesis and the interaction records.  ``max_path_length``
+    is the one path bound of the classifier, label propagation and the
+    learner.  To isolate a session's engine, pass
+    ``workspace=GraphWorkspace(engine=QueryEngine())``: the workspace
+    isolates the language and neighbourhood indexes with it.
     """
 
     def __init__(
@@ -151,24 +155,23 @@ class InteractiveSession:
         #: zoom ladder, the eccentricity cap and the figure harness —
         #: one BFS per (version, center, directed) for the whole loop
         self.neighborhoods = workspace.neighborhoods(graph)
-        self.strategy = strategy or MostInformativePathsStrategy(max_path_length=max_path_length)
+        self.strategy = strategy or MostInformativePathsStrategy()
         self.halt_condition = halt_condition or default_halt_condition(max_interactions)
         self.path_validation = path_validation
         self.max_path_length = max_path_length
         self.initial_radius = initial_radius
         self.max_radius = max_radius
         self.examples = ExampleSet()
-        #: incremental informativeness classifier shared by the session,
-        #: the proposal strategy, propagation and the halt check — one
-        #: language index and one per-node status table for the whole
-        #: loop, updated per interaction delta (the informativeness
-        #: counterpart of threading one QueryEngine everywhere)
-        self.classifier = workspace.classifier(
-            graph, self.examples, max_length=self.strategy.max_path_length
+        #: incremental informativeness classifier read by the proposal
+        #: strategy, propagation and the halt check — one per-node status
+        #: table over the workspace's language index for the whole loop,
+        #: updated per interaction delta
+        self.classifier = SessionClassifier(
+            graph,
+            self.examples,
+            max_length=max_path_length,
+            index_provider=workspace.language_index,
         )
-        # strategies rank through the session's classifier (and therefore
-        # the workspace's language index) instead of the module registry
-        self.strategy.use_classifier(self.classifier)
         self.learner = PathQueryLearner(
             graph, max_path_length=max_path_length, workspace=workspace
         )
@@ -277,7 +280,7 @@ class InteractiveSession:
             raise SessionFinishedError("this session has already been run")
         started = time.perf_counter()
 
-        node = self.strategy.propose(self.graph, self.examples)
+        node = self.strategy.propose(self.classifier)
         neighborhood, zooms = self._present_neighborhood(node)
         positive = self.user.label(node)
 
@@ -289,12 +292,7 @@ class InteractiveSession:
         else:
             self.examples.add_negative(node)
 
-        propagation_rounds = propagate_to_fixpoint(
-            self.graph,
-            self.examples,
-            max_length=self.strategy.max_path_length,
-            classifier=self.classifier,
-        )
+        propagation_rounds = propagate_to_fixpoint(self.classifier)
         propagated_positive = sum(len(round_.implied_positive) for round_ in propagation_rounds)
         propagated_negative = sum(len(round_.implied_negative) for round_ in propagation_rounds)
 

@@ -20,11 +20,11 @@ Implemented strategies:
   ("nodes having an important number of paths that are shorter than a
   fixed bound and not covered by any negative node").
 
-All informativeness lookups resolve to the shared incremental
-:class:`~repro.learning.informativeness.SessionClassifier` of the
-``(graph, examples, max_path_length)`` triple, so a strategy proposing
-inside a session re-ranks from bitset deltas instead of re-enumerating
-every node's path language per interaction.
+:meth:`Strategy.propose` takes the session's incremental
+:class:`~repro.learning.informativeness.SessionClassifier`, which holds
+G, S and the path bound, so a strategy proposing inside a session
+re-ranks from bitset deltas instead of re-enumerating every node's path
+language per interaction.
 """
 
 from __future__ import annotations
@@ -32,16 +32,11 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from collections import deque
-from typing import List, Optional
+from typing import Optional
 
 from repro.exceptions import NoCandidateNodeError
-from repro.graph.labeled_graph import LabeledGraph, Node
-from repro.learning.examples import ExampleSet
-from repro.learning.informativeness import (
-    SessionClassifier,
-    classify_all,
-    informative_nodes,
-)
+from repro.graph.labeled_graph import Node
+from repro.learning.informativeness import SessionClassifier
 
 
 class Strategy(ABC):
@@ -50,35 +45,6 @@ class Strategy(ABC):
     #: short identifier used in experiment tables
     name: str = "abstract"
 
-    def __init__(self, *, max_path_length: int = 4):
-        self.max_path_length = max_path_length
-        #: the session's incremental classifier (threaded via
-        #: :meth:`use_classifier`); informativeness lookups go through it
-        #: so a workspace-backed session never touches module registries
-        self._classifier: Optional[SessionClassifier] = None
-
-    def use_classifier(self, classifier: SessionClassifier) -> None:
-        """Thread the session's classifier into this strategy.
-
-        The classifier is only consulted when it tracks exactly the
-        ``(graph, examples, max_path_length)`` triple being ranked, so
-        binding is always safe; mismatching calls fall back to the shared
-        registry.
-        """
-        self._classifier = classifier
-
-    def _informative(self, graph: LabeledGraph, examples: ExampleSet) -> List[Node]:
-        """Ranked informative nodes via the bound classifier when it fits."""
-        return informative_nodes(
-            graph, examples, max_length=self.max_path_length, classifier=self._classifier
-        )
-
-    def _statuses(self, graph: LabeledGraph, examples: ExampleSet):
-        """Per-node statuses via the bound classifier when it fits."""
-        return classify_all(
-            graph, examples, max_length=self.max_path_length, classifier=self._classifier
-        )
-
     def signature(self) -> Optional[tuple]:
         """Hashable description of this strategy's proposal behaviour.
 
@@ -86,38 +52,33 @@ class Strategy(ABC):
         signatures propose identical node sequences on identical session
         states.  ``None`` (the base default for unknown subclasses, and
         unseeded random strategies) means "not reproducible — never
-        dedup".  Deterministic built-ins return ``(name, bound)``.
+        dedup".  Deterministic built-ins return ``(name,)``; the path
+        bound is part of the session's dedup key, not the strategy's.
         """
         return None
 
     @abstractmethod
-    def propose(self, graph: LabeledGraph, examples: ExampleSet) -> Node:
+    def propose(self, classifier: SessionClassifier) -> Node:
         """Return the next node to show to the user.
 
-        Raises :class:`NoCandidateNodeError` when no candidate remains.
+        ``classifier`` is the session's classifier: ``classifier.graph``
+        is G, ``classifier.examples`` is S and its statuses are computed
+        up to the session's path bound.  Raises
+        :class:`NoCandidateNodeError` when no candidate remains.
         """
-
-    def _unlabeled(self, graph: LabeledGraph, examples: ExampleSet) -> List[Node]:
-        return sorted(
-            (node for node in graph.nodes() if node not in examples.labeled_nodes), key=str
-        )
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} max_path_length={self.max_path_length}>"
 
 
 class _SeededStrategy(Strategy):
     """Base of the random strategies: one seeded rng per strategy."""
 
-    def __init__(self, *, seed: Optional[int] = None, max_path_length: int = 4):
-        super().__init__(max_path_length=max_path_length)
+    def __init__(self, *, seed: Optional[int] = None):
         self.seed = seed
         self._rng = random.Random(seed)
 
     def signature(self) -> Optional[tuple]:
         if self.seed is None:
             return None  # unseeded: proposals are not reproducible
-        return (self.name, self.max_path_length, self.seed)
+        return (self.name, self.seed)
 
 
 class RandomStrategy(_SeededStrategy):
@@ -125,8 +86,11 @@ class RandomStrategy(_SeededStrategy):
 
     name = "random"
 
-    def propose(self, graph: LabeledGraph, examples: ExampleSet) -> Node:
-        candidates = self._unlabeled(graph, examples)
+    def propose(self, classifier: SessionClassifier) -> Node:
+        labeled = classifier.examples.labeled_nodes
+        candidates = sorted(
+            (node for node in classifier.graph.nodes() if node not in labeled), key=str
+        )
         if not candidates:
             raise NoCandidateNodeError("every node is already labelled")
         return self._rng.choice(candidates)
@@ -137,8 +101,8 @@ class RandomInformativeStrategy(_SeededStrategy):
 
     name = "random-informative"
 
-    def propose(self, graph: LabeledGraph, examples: ExampleSet) -> Node:
-        candidates = self._informative(graph, examples)
+    def propose(self, classifier: SessionClassifier) -> Node:
+        candidates = classifier.informative()
         if not candidates:
             raise NoCandidateNodeError("no informative node remains")
         return self._rng.choice(sorted(candidates, key=str))
@@ -150,13 +114,14 @@ class BreadthStrategy(Strategy):
     name = "breadth"
 
     def signature(self) -> Optional[tuple]:
-        return (self.name, self.max_path_length)
+        return (self.name,)
 
-    def propose(self, graph: LabeledGraph, examples: ExampleSet) -> Node:
-        candidates = set(self._informative(graph, examples))
+    def propose(self, classifier: SessionClassifier) -> Node:
+        candidates = set(classifier.informative())
         if not candidates:
             raise NoCandidateNodeError("no informative node remains")
-        seeds = sorted(examples.labeled_nodes & frozenset(graph.nodes()), key=str)
+        graph = classifier.graph
+        seeds = sorted(classifier.examples.labeled_nodes & frozenset(graph.nodes()), key=str)
         if not seeds:
             return sorted(candidates, key=str)[0]
         seen = set(seeds)
@@ -180,10 +145,10 @@ class MostInformativePathsStrategy(Strategy):
     name = "most-informative"
 
     def signature(self) -> Optional[tuple]:
-        return (self.name, self.max_path_length)
+        return (self.name,)
 
-    def propose(self, graph: LabeledGraph, examples: ExampleSet) -> Node:
-        ranked = self._informative(graph, examples)
+    def propose(self, classifier: SessionClassifier) -> Node:
+        ranked = classifier.informative()
         if not ranked:
             raise NoCandidateNodeError("no informative node remains")
         return ranked[0]
@@ -201,13 +166,14 @@ class DegreeStrategy(Strategy):
     name = "degree"
 
     def signature(self) -> Optional[tuple]:
-        return (self.name, self.max_path_length)
+        return (self.name,)
 
-    def propose(self, graph: LabeledGraph, examples: ExampleSet) -> Node:
-        statuses = self._statuses(graph, examples)
+    def propose(self, classifier: SessionClassifier) -> Node:
+        statuses = classifier.statuses()
         candidates = [node for node, status in statuses.items() if status.informative]
         if not candidates:
             raise NoCandidateNodeError("no informative node remains")
+        graph = classifier.graph
         return max(sorted(candidates, key=str), key=lambda node: graph.out_degree(node))
 
 
@@ -224,11 +190,11 @@ STRATEGY_REGISTRY = {
 }
 
 
-def make_strategy(name: str, *, seed: Optional[int] = None, max_path_length: int = 4) -> Strategy:
+def make_strategy(name: str, *, seed: Optional[int] = None) -> Strategy:
     """Instantiate a strategy by registry name."""
     if name not in STRATEGY_REGISTRY:
         raise ValueError(f"unknown strategy {name!r}; known: {sorted(STRATEGY_REGISTRY)}")
     cls = STRATEGY_REGISTRY[name]
     if issubclass(cls, _SeededStrategy):
-        return cls(seed=seed, max_path_length=max_path_length)
-    return cls(max_path_length=max_path_length)
+        return cls(seed=seed)
+    return cls()

@@ -137,14 +137,13 @@ class _FixedOrderStrategy(Strategy):
 
     name = "transcript-order"
 
-    def __init__(self, order: Sequence[Node], *, max_path_length: int = 4):
-        super().__init__(max_path_length=max_path_length)
+    def __init__(self, order: Sequence[Node]):
         self._queue = list(order)
 
-    def propose(self, graph: LabeledGraph, examples) -> Node:
+    def propose(self, classifier) -> Node:
         while self._queue:
             node = self._queue.pop(0)
-            if node not in examples.labeled_nodes:
+            if node not in classifier.examples.labeled_nodes:
                 return node
         raise NoCandidateNodeError("transcript exhausted")
 
@@ -204,9 +203,7 @@ def replay_transcript(
     session = InteractiveSession(
         graph,
         user,
-        strategy=_FixedOrderStrategy(
-            [entry.node for entry in transcript.entries], max_path_length=max_path_length
-        ),
+        strategy=_FixedOrderStrategy([entry.node for entry in transcript.entries]),
         path_validation=path_validation,
         max_path_length=max_path_length,
         max_interactions=len(transcript.entries),

@@ -27,22 +27,25 @@ Two implementations coexist:
   :func:`classify_all_scratch`) re-derives every word set per call — it
   is the readable reference and the oracle the incremental path is
   tested against;
-* the **incremental** path (:class:`SessionClassifier`, served
-  transparently through :func:`classify_all` /
-  :func:`informative_nodes`) keeps per-node statuses up to date against
-  the shared :class:`~repro.learning.language_index.LanguageIndex`
-  bitsets and, after each new example, re-scores only the nodes whose
-  status can actually change: a grown negative cover touches only nodes
-  whose language intersects the *delta* bitset, a newly validated word
-  only the nodes that can spell it, a new label only the labelled node.
+* the **incremental** path (:class:`SessionClassifier`) keeps per-node
+  statuses up to date against the shared
+  :class:`~repro.learning.language_index.LanguageIndex` bitsets and,
+  after each new example, re-scores only the nodes whose status can
+  actually change: a grown negative cover touches only nodes whose
+  language intersects the *delta* bitset, a newly validated word only
+  the nodes that can spell it, a new label only the labelled node.
+
+An interactive session owns exactly one :class:`SessionClassifier`;
+its strategy and its label propagation read that one.
+:func:`classify_all`, :func:`informative_nodes`, :func:`pruned_nodes`
+and :func:`pruning_fraction` are one-shot helpers over a fresh
+classifier, for callers outside a session.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
-
 
 from repro.exceptions import NodeNotFoundError
 from repro.graph.labeled_graph import LabeledGraph, Node
@@ -82,6 +85,11 @@ class NodeStatus:
     def informative(self) -> bool:
         """True when asking the user about this node could add information."""
         return not (self.labeled or self.implied_positive or self.implied_negative)
+
+    @property
+    def pruned(self) -> bool:
+        """True when the node is unlabelled but its label is already implied."""
+        return not self.labeled and (self.implied_positive or self.implied_negative)
 
     @property
     def score(self) -> Tuple[int, bool, int]:
@@ -202,10 +210,8 @@ class SessionClassifier:
         index_provider=None,
     ):
         self.graph = graph
-        # held weakly: the shared-classifier registry keys on the example
-        # set, so a strong reference here would pin the key (and with it
-        # the classifier, the graph and its language index) forever
-        self._examples_ref = weakref.ref(examples)
+        #: the example set this classifier tracks
+        self.examples = examples
         self.max_length = max_length
         #: ``(graph, max_length) -> LanguageIndex`` — a GraphWorkspace
         #: threads its own accessor here so index (re)builds go through
@@ -221,14 +227,6 @@ class SessionClassifier:
         self._validated: Dict[Node, Word] = {}
         self._labeled: FrozenSet[Node] = frozenset()
         self._rebuild()
-
-    @property
-    def examples(self) -> ExampleSet:
-        """The example set this classifier tracks."""
-        examples = self._examples_ref()
-        if examples is None:
-            raise RuntimeError("the classified ExampleSet has been garbage-collected")
-        return examples
 
     @property
     def index(self) -> LanguageIndex:
@@ -359,50 +357,20 @@ class SessionClassifier:
         )
 
 
-def _workspace_classifier(
-    graph: LabeledGraph, examples: ExampleSet, *, max_length: int
-) -> SessionClassifier:
-    from repro.serving.workspace import default_workspace
-
-    return default_workspace().classifier(graph, examples, max_length=max_length)
-
-
-def _resolve_classifier(
-    graph: LabeledGraph,
-    examples: ExampleSet,
-    max_length: int,
-    classifier: Optional[SessionClassifier],
-) -> SessionClassifier:
-    """Use ``classifier`` when it tracks exactly this triple, else the registry."""
-    if (
-        classifier is not None
-        and classifier.graph is graph
-        and classifier.max_length == max_length
-        and classifier._examples_ref() is examples
-    ):
-        return classifier
-    return _workspace_classifier(graph, examples, max_length=max_length)
-
-
 def classify_all(
     graph: LabeledGraph,
     examples: ExampleSet,
     *,
     max_length: int,
     candidates: Optional[Iterable[Node]] = None,
-    classifier: Optional[SessionClassifier] = None,
 ) -> Dict[Node, NodeStatus]:
     """Classify every node (or just ``candidates``) against the examples.
 
-    Served from the shared incremental :class:`SessionClassifier` of
-    ``(graph, examples, max_length)``: the first call per example set
-    builds the language index, subsequent calls only re-derive what the
-    newest examples changed.  Results are identical to
-    :func:`classify_all_scratch`.  Callers holding the session's
-    classifier (a workspace-backed loop) pass it via ``classifier`` so
-    no module-level registry is consulted.
+    A one-shot helper over a fresh :class:`SessionClassifier` (whose
+    language index comes from the default workspace).  Results are
+    identical to :func:`classify_all_scratch`.
     """
-    statuses = _resolve_classifier(graph, examples, max_length, classifier).statuses()
+    statuses = SessionClassifier(graph, examples, max_length=max_length).statuses()
     if candidates is None:
         return statuses
     restricted: Dict[Node, NodeStatus] = {}
@@ -420,17 +388,14 @@ def informative_nodes(
     *,
     max_length: int,
     candidates: Optional[Iterable[Node]] = None,
-    classifier: Optional[SessionClassifier] = None,
 ) -> List[Node]:
     """The informative nodes, sorted by decreasing informativeness score.
 
     Ties are broken by node identifier so the ordering is deterministic.
     """
     if candidates is None:
-        return _resolve_classifier(graph, examples, max_length, classifier).informative()
-    statuses = classify_all(
-        graph, examples, max_length=max_length, candidates=candidates, classifier=classifier
-    )
+        return SessionClassifier(graph, examples, max_length=max_length).informative()
+    statuses = classify_all(graph, examples, max_length=max_length, candidates=candidates)
     return _ranked_informative(statuses.values())
 
 
@@ -446,11 +411,7 @@ def pruned_nodes(
     experiment E2 (pruning effectiveness).
     """
     statuses = classify_all(graph, examples, max_length=max_length)
-    return frozenset(
-        node
-        for node, status in statuses.items()
-        if not status.labeled and (status.implied_positive or status.implied_negative)
-    )
+    return frozenset(node for node, status in statuses.items() if status.pruned)
 
 
 def pruning_fraction(

@@ -170,7 +170,7 @@ class LanguageIndex:
         "_length_masks",
     )
 
-    #: delta-refreshed (or dropped) by GraphWorkspace.refresh()/invalidate()
+    #: delta-refreshed (or dropped) by GraphWorkspace.refresh()
     __workspace_hook__ = "workspace.language_index"
 
     def __init__(self, graph: LabeledGraph, max_length: int):

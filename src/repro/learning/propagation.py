@@ -14,11 +14,11 @@ Propagated labels are recorded in the example set with ``propagated=True``
 so they never count as user interactions, and the pruning statistics of
 experiment E2 report them separately.
 
-Each pass classifies through :func:`repro.learning.informativeness.classify_all`,
-which is served by the shared incremental
-:class:`~repro.learning.informativeness.SessionClassifier`: the first
-fixpoint round after a user answer pays only that answer's delta, and
-every later round only the delta of the labels the previous round added.
+Each pass reads the statuses of the session's incremental
+:class:`~repro.learning.informativeness.SessionClassifier`, which holds
+the graph, the example set and the path bound: the first fixpoint round
+after a user answer pays only that answer's delta, and every later round
+only the delta of the labels the previous round added.
 """
 
 from __future__ import annotations
@@ -26,11 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Tuple
 
-from typing import Optional
-
-from repro.graph.labeled_graph import LabeledGraph, Node
-from repro.learning.examples import ExampleSet
-from repro.learning.informativeness import SessionClassifier, classify_all
+from repro.graph.labeled_graph import Node
+from repro.learning.informativeness import SessionClassifier
 
 
 @dataclass(frozen=True)
@@ -46,24 +43,16 @@ class PropagationResult:
         return len(self.implied_positive) + len(self.implied_negative)
 
 
-def propagate_labels(
-    graph: LabeledGraph,
-    examples: ExampleSet,
-    *,
-    max_length: int,
-    classifier: Optional[SessionClassifier] = None,
-) -> PropagationResult:
-    """Run one propagation pass, mutating ``examples`` in place.
+def propagate_labels(classifier: SessionClassifier) -> PropagationResult:
+    """Run one propagation pass, mutating the classifier's examples in place.
 
     Returns the sets of nodes that received implied labels.  The pass is
     idempotent: running it twice in a row adds nothing the second time.
-    A workspace-backed session passes its own ``classifier`` so the pass
-    reuses the session's status table instead of the module registry.
     """
-    statuses = classify_all(graph, examples, max_length=max_length, classifier=classifier)
+    examples = classifier.examples
     implied_positive = set()
     implied_negative = set()
-    for node, status in statuses.items():
+    for node, status in classifier.statuses().items():
         if status.labeled:
             continue
         if status.implied_positive:
@@ -76,12 +65,7 @@ def propagate_labels(
 
 
 def propagate_to_fixpoint(
-    graph: LabeledGraph,
-    examples: ExampleSet,
-    *,
-    max_length: int,
-    max_rounds: int = 10,
-    classifier: Optional[SessionClassifier] = None,
+    classifier: SessionClassifier, *, max_rounds: int = 10
 ) -> Tuple[PropagationResult, ...]:
     """Repeat propagation until nothing changes (or ``max_rounds`` is hit).
 
@@ -90,7 +74,7 @@ def propagate_to_fixpoint(
     """
     rounds = []
     for _ in range(max_rounds):
-        result = propagate_labels(graph, examples, max_length=max_length, classifier=classifier)
+        result = propagate_labels(classifier)
         rounds.append(result)
         if result.total == 0:
             break

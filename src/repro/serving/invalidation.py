@@ -33,8 +33,8 @@ WORKSPACE_HOOKS: Dict[str, str] = {
     ),
     # _GraphCache: the engine's per-graph answer cache; QueryEngine.refresh()
     # upgrades it (alphabet-disjoint answers retained), QueryEngine
-    # access paths upgrade lazily, GraphWorkspace.refresh()/invalidate()
-    # drive it per graph.
+    # access paths upgrade lazily, GraphWorkspace.refresh() drives it
+    # per graph.
     "engine.answers": (
         "QueryEngine.refresh() / _graph_cache() — retains answers whose "
         "plan alphabet is disjoint from every touched label"

@@ -1,14 +1,13 @@
 """The :class:`GraphWorkspace`: explicit ownership of all read-mostly state.
 
 PRs 1–5 made every per-session structure incremental and cached, but
-ownership stayed implicit: the query engine, the language indexes, the
-neighbourhood indexes and the informativeness classifiers all lived in
-module-level registries.  That is fine for one session; a server
-multiplexing many sessions over one graph needs an explicit handle it
-can size, invalidate and account for — and it needs *build-once*
-semantics when N cold sessions race on the same index.  (The registries
-survived PRs 6–7 as deprecated shims; PR 8 retired them — every consumer
-now holds a workspace, or implicitly uses :func:`default_workspace`.)
+ownership stayed implicit: the query engine, the language indexes and
+the neighbourhood indexes all lived in module-level registries.  That
+is fine for one session; a server multiplexing many sessions over one
+graph needs an explicit handle it can size, refresh and account for —
+and it needs *build-once* semantics when N cold sessions race on the
+same index.  Every consumer holds a workspace, or implicitly uses
+:func:`default_workspace`.
 
 A workspace owns exactly the state that is **read-mostly and keyed on**
 ``(graph.version, …)``:
@@ -17,16 +16,15 @@ A workspace owns exactly the state that is **read-mostly and keyed on**
 * the :class:`~repro.learning.language_index.LanguageIndex` per
   ``(graph, version, bound)``,
 * the :class:`~repro.graph.neighborhood.NeighborhoodIndex` per graph,
-* the :class:`~repro.learning.informativeness.SessionClassifier` registry
-  (per evolving example set — per-session state, but registered here so
-  the workspace can account for builds),
 * a handle on the canonical-form cache used to wrap learned DFAs,
 * content fingerprints per ``(graph, version)``, and
 * the cross-session result memo used by
   :class:`~repro.serving.manager.SessionManager` for deduplication.
 
 Everything *per-session* — the :class:`~repro.learning.examples.ExampleSet`,
-the hypothesis, the interaction records — stays on the session object.
+its :class:`~repro.learning.informativeness.SessionClassifier` (built over
+:meth:`GraphWorkspace.language_index`), the hypothesis, the interaction
+records — stays on the session object.
 
 Build-once semantics: expensive builds (the language index above all) are
 guarded by per-key locks with double-checked lookup, so N sessions racing
@@ -55,13 +53,11 @@ import hashlib
 import threading
 import weakref
 from collections import OrderedDict
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, Optional, Tuple
 
 from repro.automata.canonical import CanonicalFormCache, shared_canonical_cache
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.neighborhood import NeighborhoodIndex
-from repro.learning.examples import ExampleSet
-from repro.learning.informativeness import SessionClassifier
 from repro.learning.language_index import LanguageIndex
 from repro.query.engine import QueryEngine
 
@@ -90,9 +86,9 @@ class GraphWorkspace:
     injector:
         Optional :class:`~repro.reliability.FaultInjector`; when set,
         build paths check their fault sites (``"workspace.language_index"``,
-        ``"workspace.neighborhoods"``, ``"workspace.classifier"``) before
-        constructing, so chaos tests can exercise the failure-safety
-        contract.  ``None`` (the default) leaves every path untouched.
+        ``"workspace.neighborhoods"``) before constructing, so chaos tests
+        can exercise the failure-safety contract.  ``None`` (the default)
+        leaves every path untouched.
     """
 
     def __init__(
@@ -116,11 +112,6 @@ class GraphWorkspace:
         self._neighborhoods: "weakref.WeakKeyDictionary[LabeledGraph, NeighborhoodIndex]" = (
             weakref.WeakKeyDictionary()
         )
-        # examples -> [(graph, bound, classifier)]; keyed weakly so a
-        # finished session's classifier dies with its example set
-        self._classifiers: "weakref.WeakKeyDictionary[ExampleSet, List[tuple]]" = (
-            weakref.WeakKeyDictionary()
-        )
         self._fingerprints: "weakref.WeakKeyDictionary[LabeledGraph, Tuple[int, str]]" = (
             weakref.WeakKeyDictionary()
         )
@@ -132,7 +123,6 @@ class GraphWorkspace:
         self._language_refreshes = 0
         self._language_hits = 0
         self._neighborhood_builds = 0
-        self._classifier_builds = 0
         self._failed_builds = 0
         self._memo_hits = 0
         self._memo_misses = 0
@@ -285,48 +275,6 @@ class GraphWorkspace:
         return index
 
     # ------------------------------------------------------------------
-    # informativeness classifiers
-    # ------------------------------------------------------------------
-    def classifier(
-        self, graph: LabeledGraph, examples: ExampleSet, *, max_length: int
-    ) -> SessionClassifier:
-        """The shared :class:`SessionClassifier` of ``(graph, examples, bound)``.
-
-        Classifiers are per-session state (they track one evolving example
-        set) but registering them here lets every consumer of the triple —
-        the session loop, strategies, propagation, the halt check —
-        resolve to one instance, and routes their language-index builds
-        through :meth:`language_index` so the workspace accounts for them.
-        """
-        with self._lock:
-            entries = self._classifiers.get(examples)
-            if entries is not None:
-                for entry_graph, bound, classifier in entries:
-                    if entry_graph is graph and bound == max_length:
-                        return classifier
-        # build outside the registry lock: the constructor builds the
-        # language index (guarded by its own per-key lock above).  The
-        # registry is only touched after the constructor returns, so a
-        # raising build leaves no entry behind — not even an empty list.
-        try:
-            self._check_fault("workspace.classifier")
-            classifier = SessionClassifier(
-                graph, examples, max_length=max_length, index_provider=self.language_index
-            )
-        except BaseException:
-            with self._lock:
-                self._failed_builds += 1
-            raise
-        with self._lock:
-            entries = self._classifiers.setdefault(examples, [])
-            for entry_graph, bound, existing in entries:
-                if entry_graph is graph and bound == max_length:
-                    return existing  # lost the race: adopt the winner
-            entries.append((graph, max_length, classifier))
-            self._classifier_builds += 1
-        return classifier
-
-    # ------------------------------------------------------------------
     # graph fingerprints
     # ------------------------------------------------------------------
     def graph_fingerprint(self, graph: LabeledGraph) -> str:
@@ -377,49 +325,10 @@ class GraphWorkspace:
     # ------------------------------------------------------------------
     # maintenance
     # ------------------------------------------------------------------
-    def invalidate(self, graph: Optional[LabeledGraph] = None) -> Dict[str, int]:
-        """Drop entries invalidated by graph mutation.
-
-        With a ``graph``, drops exactly the entries built against versions
-        older than ``graph.version`` — language indexes, the cached
-        fingerprint and the engine's answer cache for that graph; entries
-        of other graphs (and current-version entries) are untouched.
-        Without one, drops stale entries of every registered graph.
-
-        Returns counters of what was dropped (the serving tests pin
-        these).  Invalidation is a memory-hygiene operation, not a
-        correctness requirement: all registries are version-checked on
-        access anyway.  See :meth:`refresh` for the delta-aware
-        alternative that upgrades entries in place instead of dropping
-        them.
-        """
-        dropped = {"language_indexes": 0, "fingerprints": 0}
-        with self._lock:
-            graphs = [graph] if graph is not None else list(self._language.keys())
-            for target in graphs:
-                per_graph = self._language.get(target)
-                if per_graph is not None:
-                    stale = [
-                        bound
-                        for bound, index in per_graph.items()
-                        if index.version != target.version
-                    ]
-                    for bound in stale:
-                        del per_graph[bound]
-                    dropped["language_indexes"] += len(stale)
-                cached = self._fingerprints.get(target)
-                if cached is not None and cached[0] != target.version:
-                    del self._fingerprints[target]
-                    dropped["fingerprints"] += 1
-                self.engine.invalidate(target)
-        return dropped
-
     def refresh(self, graph: Optional[LabeledGraph] = None) -> Dict[str, int]:
         """Upgrade stale entries in place via the graph's delta journal.
 
-        The streaming counterpart of :meth:`invalidate`: where
-        ``invalidate`` *drops* entries built against older versions,
-        ``refresh`` consults :meth:`LabeledGraph.deltas_since
+        Consults :meth:`LabeledGraph.deltas_since
         <repro.graph.labeled_graph.LabeledGraph.deltas_since>` and
 
         * **rescopes** each stale :class:`LanguageIndex` to the
@@ -436,11 +345,12 @@ class GraphWorkspace:
           definition).
 
         When the journal cannot bridge the gap — window exceeded, opaque
-        batch, or a disabled journal — every layer falls back to the
-        whole-drop ``invalidate`` has always performed, so ``refresh`` is
-        never less correct than ``invalidate``, only warmer.  With a
-        ``graph``, only that graph's entries are touched; without one,
-        every registered graph is refreshed.
+        batch, or a disabled journal — every layer falls back to dropping
+        its stale entries.  Refreshing is never a correctness requirement
+        (every registry is version-checked on access); it keeps caches
+        warm and memory bounded.  With a ``graph``, only that graph's
+        entries are touched; without one, every registered graph is
+        refreshed.
 
         Returns counters of what was refreshed, retained and dropped.
         """
@@ -532,7 +442,6 @@ class GraphWorkspace:
                 "language_index_hits": self._language_hits,
                 "language_index_entries": language_entries,
                 "neighborhood_index_builds": self._neighborhood_builds,
-                "classifier_builds": self._classifier_builds,
                 "failed_builds": self._failed_builds,
                 "memo_hits": self._memo_hits,
                 "memo_misses": self._memo_misses,

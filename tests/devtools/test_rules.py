@@ -403,17 +403,6 @@ class TestREP500ApiHygiene:
 
 
 class TestREP600Reliability:
-    def test_bare_except_flagged(self):
-        assert "REP601" in rules_of(
-            """
-            def fetch(url):
-                try:
-                    return open(url)
-                except:
-                    return None
-            """
-        )
-
     def test_except_exception_pass_flagged(self):
         assert "REP602" in rules_of(
             """

@@ -71,9 +71,7 @@ class TestFullRun:
 
     def test_random_strategy_session_also_converges(self, figure1_graph):
         user = SimulatedUser(figure1_graph, GOAL)
-        session = InteractiveSession(
-            figure1_graph, user, strategy=RandomStrategy(seed=5, max_path_length=4)
-        )
+        session = InteractiveSession(figure1_graph, user, strategy=RandomStrategy(seed=5))
         result = session.run()
         assert evaluate(figure1_graph, result.learned_query) == user.goal_answer
 

@@ -38,11 +38,6 @@ def language_index_for(graph, max_length):
     return default_workspace().language_index(graph, max_length)
 
 
-def session_classifier(graph, examples, *, max_length):
-    """Workspace-backed classifier accessor (the module-level shim now warns)."""
-    return default_workspace().classifier(graph, examples, max_length=max_length)
-
-
 # ----------------------------------------------------------------------
 # arena
 # ----------------------------------------------------------------------
@@ -228,44 +223,21 @@ class TestSessionClassifierMatchesScratch:
             figure1_graph, examples, max_length=3
         )
 
-    def test_shared_classifier_identity(self, figure1_graph):
-        examples = ExampleSet()
-        first = session_classifier(figure1_graph, examples, max_length=3)
-        assert session_classifier(figure1_graph, examples, max_length=3) is first
-        assert session_classifier(figure1_graph, examples, max_length=2) is not first
-
-    def test_registry_releases_dead_example_sets(self, figure1_graph):
-        # the classifier must not strongly reference its example set, or
-        # the weak-keyed registry pins one classifier (statuses + graph +
-        # language index) per session for the life of the process
+    def test_dropped_session_classifier_is_collected(self, figure1_graph, figure1_query):
+        # the session owns its classifier; nothing in the workspace may pin
+        # it (statuses + graph + language index) once the session is gone
         import gc
         import weakref
 
-        from repro.serving.workspace import default_workspace
+        from repro.interactive.oracle import SimulatedUser
+        from repro.interactive.session import InteractiveSession
 
-        registry = default_workspace()._classifiers
+        session = InteractiveSession(figure1_graph, SimulatedUser(figure1_graph, figure1_query))
+        session.step()
+        ref = weakref.ref(session.classifier)
+        del session
         gc.collect()
-        before = len(registry)
-        refs = []
-        for _ in range(3):
-            examples = ExampleSet()
-            examples.add_negative("N5")
-            session_classifier(figure1_graph, examples, max_length=3).statuses()
-            refs.append(weakref.ref(examples))
-            del examples
-        gc.collect()
-        assert all(ref() is None for ref in refs)
-        assert len(registry) == before
-
-    def test_classifier_examples_property_after_collection(self, figure1_graph):
-        import gc
-
-        examples = ExampleSet()
-        classifier = SessionClassifier(figure1_graph, examples, max_length=2)
-        del examples
-        gc.collect()
-        with pytest.raises(RuntimeError):
-            classifier.refresh()
+        assert ref() is None
 
     def test_classify_all_unknown_candidate_raises(self, figure1_graph):
         with pytest.raises(NodeNotFoundError):

@@ -47,7 +47,7 @@ class TestFaultPlan:
         assert plan.rate_for("oracle.label") == 0.9
         assert plan.rate_for("oracle.validate_path") == 0.5
         assert plan.rate_for("runner.unit:abc#a1") == 0.0
-        assert plan.rate_for("workspace.classifier") == 0.1
+        assert plan.rate_for("workspace.neighborhoods") == 0.1
 
     def test_longest_prefix_wins(self):
         plan = FaultPlan(1, rates={"a.*": 0.2, "a.b.*": 0.8})

@@ -2,10 +2,8 @@
 
 The contract: when a registry build raises, the per-key build lock is
 released, nothing — not even an empty placeholder entry — is cached,
-and the next caller retries the build cleanly.  Before this PR a
-raising classifier factory left an empty list registered for its
-example set, and a raising index build left its build-lock entry
-behind.
+and the next caller retries the build cleanly.  A raising index build
+used to leave its build-lock entry behind.
 """
 
 import threading
@@ -14,7 +12,6 @@ import pytest
 
 from repro.exceptions import InjectedFault
 from repro.graph.datasets import motivating_example
-from repro.learning.examples import ExampleSet
 from repro.serving import GraphWorkspace
 
 
@@ -95,22 +92,6 @@ class TestNeighborhoodFailureSafety:
         index = workspace.neighborhoods(graph)
         assert workspace.neighborhoods(graph) is index
         assert workspace.stats()["neighborhood_index_builds"] == 1
-
-
-class TestClassifierFailureSafety:
-    def test_failed_build_leaves_no_partial_entry(self, graph):
-        injector = ScriptedInjector("workspace.classifier")
-        workspace = GraphWorkspace(injector=injector)
-        examples = ExampleSet()
-        with pytest.raises(InjectedFault):
-            workspace.classifier(graph, examples, max_length=3)
-        # the latent bug: an empty list used to be setdefault-ed into the
-        # registry before the build, surviving the raise
-        assert examples not in workspace._classifiers
-        assert workspace.stats()["failed_builds"] == 1
-        classifier = workspace.classifier(graph, examples, max_length=3)
-        assert workspace.classifier(graph, examples, max_length=3) is classifier
-        assert workspace.stats()["classifier_builds"] == 1
 
 
 class TestInjectorOffByDefault:

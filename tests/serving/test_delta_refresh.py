@@ -1,6 +1,6 @@
 """Property tests: delta-refreshed structures are bit-identical to scratch
 rebuilds over random graphs x random add/remove tick sequences, and
-refresh/invalidate stay precise when two graphs mutate interleaved."""
+refresh stays precise when two graphs mutate interleaved."""
 
 import random
 
@@ -164,7 +164,7 @@ class TestNeighborhoodProperty:
 
 
 class TestInterleavedPrecision:
-    """refresh()/invalidate() must scope to the mutated graph only."""
+    """refresh() must scope to the mutated graph only."""
 
     def _warm(self, workspace, graph):
         workspace.language_index(graph, BOUND)
@@ -203,17 +203,3 @@ class TestInterleavedPrecision:
             for graph in graphs:
                 index = workspace.language_index(graph, BOUND)
                 assert_language_index_matches_scratch(index, graph)
-
-    def test_invalidate_shape_is_pinned_and_scoped(self):
-        workspace = GraphWorkspace()
-        left = random_graph(8, 14, ALPHABET, seed=4, name="left")
-        right = random_graph(8, 14, ALPHABET, seed=5, name="right")
-        self._warm(workspace, left)
-        self._warm(workspace, right)
-        left.add_edge("n0", "x", "n1")
-        dropped = workspace.invalidate(left)
-        assert dropped == {"language_indexes": 1, "fingerprints": 1}
-        assert workspace.invalidate(right) == {
-            "language_indexes": 0,
-            "fingerprints": 0,
-        }

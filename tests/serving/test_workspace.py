@@ -1,4 +1,4 @@
-"""Tests for the shared GraphWorkspace (build-once caches, invalidation)."""
+"""Tests for the shared GraphWorkspace (build-once caches, fingerprints, memo)."""
 
 import threading
 
@@ -7,7 +7,6 @@ import pytest
 from repro.graph.labeled_graph import LabeledGraph
 from repro.interactive.oracle import SimulatedUser
 from repro.interactive.session import InteractiveSession
-from repro.learning.examples import ExampleSet
 from repro.query.engine import QueryEngine
 from repro.serving import GraphWorkspace, default_workspace, reset_default_workspace
 
@@ -61,38 +60,6 @@ class TestLanguageIndexRegistry:
         assert stats["language_index_hits"] > 0
 
 
-class TestInvalidation:
-    def test_drops_exactly_the_stale_entries(self, tiny_graph):
-        workspace = GraphWorkspace()
-        other = LabeledGraph.from_edges([("p", "k", "q")])
-        workspace.language_index(tiny_graph, 3)
-        workspace.language_index(other, 3)
-        workspace.graph_fingerprint(tiny_graph)
-        tiny_graph.add_edge("c", "z", "a")
-        dropped = workspace.invalidate(tiny_graph)
-        assert dropped == {"language_indexes": 1, "fingerprints": 1}
-        # the other graph's entry is untouched
-        assert workspace._language[other][3].version == other.version
-
-    def test_current_entries_survive(self, tiny_graph):
-        workspace = GraphWorkspace()
-        index = workspace.language_index(tiny_graph, 3)
-        assert workspace.invalidate(tiny_graph) == {
-            "language_indexes": 0,
-            "fingerprints": 0,
-        }
-        assert workspace.language_index(tiny_graph, 3) is index
-
-    def test_invalidate_everything(self, tiny_graph):
-        workspace = GraphWorkspace()
-        other = LabeledGraph.from_edges([("p", "k", "q")])
-        workspace.language_index(tiny_graph, 2)
-        workspace.language_index(other, 2)
-        tiny_graph.add_edge("c", "z", "a")
-        other.add_edge("q", "k", "p")
-        assert workspace.invalidate()["language_indexes"] == 2
-
-
 class TestFingerprints:
     def test_insertion_order_independent(self):
         edges = [("a", "x", "b"), ("b", "y", "c"), ("a", "y", "c")]
@@ -109,20 +76,15 @@ class TestFingerprints:
 
 
 class TestClassifierRegistry:
-    def test_same_triple_resolves_to_one_instance(self, tiny_graph):
-        workspace = GraphWorkspace()
-        examples = ExampleSet()
-        first = workspace.classifier(tiny_graph, examples, max_length=3)
-        second = workspace.classifier(tiny_graph, examples, max_length=3)
-        assert first is second
-        assert workspace.stats()["classifier_builds"] == 1
+    """A session's classifier builds through the workspace's index registry."""
 
     def test_classifier_builds_route_through_workspace(self, tiny_graph):
         workspace = GraphWorkspace()
-        workspace.classifier(tiny_graph, ExampleSet(), max_length=3)
+        user = SimulatedUser(tiny_graph, "x", workspace=workspace)
+        session = InteractiveSession(tiny_graph, user, max_path_length=3, workspace=workspace)
         assert workspace.stats()["language_index_builds"] == 1
-        # the classifier reused the workspace's index, not a private one
-        workspace.language_index(tiny_graph, 3)
+        # the session's classifier reads the workspace's index, not a private one
+        assert session.classifier.index is workspace.language_index(tiny_graph, 3)
         assert workspace.stats()["language_index_builds"] == 1
 
 
@@ -151,3 +113,19 @@ class TestDefaultWorkspace:
         assert GraphWorkspace().engine is not GraphWorkspace().engine
         engine = QueryEngine()
         assert GraphWorkspace(engine=engine).engine is engine
+
+    def test_private_workspace_leaves_the_default_untouched(self, figure1_graph, figure1_query):
+        # scenario metrics and E2 pruning counts must draw on the workspace
+        # they are handed, never on the process default
+        from repro.automata.canonical import CanonicalFormCache
+        from repro.experiments.harness import e2_unit_rows
+        from repro.interactive.scenarios import run_all_scenarios
+
+        workspace = GraphWorkspace(canonical=CanonicalFormCache())
+        before = default_workspace().stats()
+        run_all_scenarios(figure1_graph, figure1_query, seed=3, workspace=workspace)
+        e2_unit_rows(
+            figure1_graph, figure1_query, dataset="figure-1", max_interactions=5, workspace=workspace
+        )
+        assert default_workspace().stats() == before
+        assert workspace.stats()["engine"]["answer_misses"] > 0

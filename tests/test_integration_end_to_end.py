@@ -108,7 +108,7 @@ class TestWorkloadEndToEnd:
             session = InteractiveSession(
                 graph,
                 user,
-                strategy=make_strategy(name, seed=2, max_path_length=4),
+                strategy=make_strategy(name, seed=2),
                 max_interactions=25,
                 max_path_length=4,
             )

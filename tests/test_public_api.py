@@ -115,6 +115,32 @@ class TestOneEngineSeam:
             for removed in ("engine", "compatibility", "neighborhood_index"):
                 assert removed not in parameters, f"{component.__name__}({removed}=)"
 
+    def test_one_classifier_per_session(self):
+        # the session's SessionClassifier carries G, S and the path bound:
+        # strategies take no bound of their own, and informativeness and
+        # propagation helpers take no classifier override
+        import inspect
+
+        from repro.interactive.strategies import STRATEGY_REGISTRY, Strategy, make_strategy
+        from repro.learning import informativeness, propagation
+
+        for component in [make_strategy, *STRATEGY_REGISTRY.values()]:
+            parameters = inspect.signature(component).parameters
+            assert "max_path_length" not in parameters, component.__name__
+        assert list(inspect.signature(Strategy.propose).parameters) == ["self", "classifier"]
+        helpers = (
+            informativeness.classify_all,
+            informativeness.informative_nodes,
+            informativeness.pruned_nodes,
+            informativeness.pruning_fraction,
+        )
+        for helper in helpers:
+            assert "classifier" not in inspect.signature(helper).parameters, helper.__name__
+        for function in (propagation.propagate_labels, propagation.propagate_to_fixpoint):
+            parameters = list(inspect.signature(function).parameters)
+            assert parameters[0] == "classifier", function.__name__
+            assert "max_length" not in parameters, function.__name__
+
 
 class TestSubpackageImports:
     def test_subpackage_all_lists_resolve(self):
