@@ -15,7 +15,6 @@ from repro.interactive.session import InteractiveSession
 from repro.learning.examples import ExampleSet
 from repro.learning.informativeness import informative_nodes
 from repro.learning.learner import PathQueryLearner, learn_query
-from repro.query.evaluation import selection_metrics
 from repro.serving.workspace import default_workspace
 
 from conftest import write_artifact
@@ -35,8 +34,9 @@ def test_ablation_generalization_on_off(benchmark, results_dir):
         return generalized, raw
 
     generalized, raw = benchmark(run_both)
-    generalized_metrics = selection_metrics(graph, generalized, GOAL)
-    raw_metrics = selection_metrics(graph, raw, GOAL)
+    engine = default_workspace().engine
+    generalized_metrics = engine.selection_metrics(graph, generalized, GOAL)
+    raw_metrics = engine.selection_metrics(graph, raw, GOAL)
     write_artifact(
         results_dir,
         "ablation_generalization.txt",
@@ -56,7 +56,8 @@ def test_ablation_pruning_pool_size(benchmark, results_dir):
     for node in negatives:
         examples.add_negative(node)
 
-    ranked = benchmark(informative_nodes, graph, examples, max_length=4)
+    index = default_workspace().language_index(graph, 4)
+    ranked = benchmark(informative_nodes, graph, index, examples)
     unlabeled = [node for node in graph.nodes() if node not in examples.labeled_nodes]
     write_artifact(
         results_dir,
@@ -79,9 +80,10 @@ def test_ablation_label_noise(benchmark, results_dir):
 
     result = benchmark(run_noisy)
     clean = InteractiveSession(motivating_example(), SimulatedUser(motivating_example(), GOAL)).run()
-    clean_f1 = selection_metrics(motivating_example(), clean.learned_query, GOAL)["f1"]
+    engine = default_workspace().engine
+    clean_f1 = engine.selection_metrics(motivating_example(), clean.learned_query, GOAL)["f1"]
     noisy_f1 = (
-        selection_metrics(graph, result.learned_query, GOAL)["f1"]
+        engine.selection_metrics(graph, result.learned_query, GOAL)["f1"]
         if result.learned_query is not None
         else 0.0
     )

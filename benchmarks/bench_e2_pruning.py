@@ -10,6 +10,7 @@ from repro.experiments.harness import run_e2_pruning
 from repro.graph.datasets import motivating_example
 from repro.learning.examples import ExampleSet
 from repro.learning.informativeness import pruning_fraction
+from repro.serving.workspace import GraphWorkspace
 from repro.workloads.generator import quick_suite
 
 from conftest import write_artifact
@@ -32,5 +33,6 @@ def test_e2_pruning_fraction_unit(benchmark):
     examples = ExampleSet()
     examples.add_positive("N2")
     examples.add_negative("N5")
-    fraction = benchmark(pruning_fraction, graph, examples, max_length=4)
+    index = GraphWorkspace().language_index(graph, 4)
+    fraction = benchmark(pruning_fraction, graph, index, examples)
     assert 0.0 <= fraction <= 1.0

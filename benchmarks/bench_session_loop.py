@@ -30,13 +30,13 @@ import time
 from repro.automata.prefix_tree import build_path_prefix_tree
 from repro.exceptions import InconsistentExamplesError, NoConsistentPathError
 from repro.graph.datasets import dataset_catalog
-from repro.graph.neighborhood import eccentricity_bound, extract_neighborhood
 from repro.graph.paths import words_from
 from repro.interactive.oracle import SimulatedUser
 from repro.interactive.session import InteractiveSession
 from repro.interactive.halt import AnyOf, HaltContext, MaxInteractions, UserSatisfied
 from repro.learning.examples import ExampleSet
 from repro.learning.informativeness import NodeStatus, SessionClassifier
+from repro.learning.language_index import LanguageIndex
 from repro.learning.learner import PathQueryLearner
 from repro.learning.path_selection import _endpoints_of
 from repro.query.engine import QueryEngine
@@ -202,6 +202,7 @@ def _run_legacy_session(graph, goal):
     trace = []
     halted_by = "exhausted"
     initial_radius, max_radius = 2, 6
+    neighborhoods = workspace.neighborhoods(graph)
 
     while True:
         ranked = _seed_informative(graph, examples, MAX_PATH_LENGTH)
@@ -222,12 +223,12 @@ def _run_legacy_session(graph, goal):
         node = ranked[0]
 
         # neighbourhood presentation (identical on both paths)
-        radius_cap = min(max_radius, max(initial_radius, eccentricity_bound(graph, node)))
+        radius_cap = min(max_radius, max(initial_radius, neighborhoods.eccentricity_bound(node)))
         radius = min(initial_radius, radius_cap)
-        neighborhood = extract_neighborhood(graph, node, radius)
+        neighborhood = neighborhoods.neighborhood(node, radius)
         while radius < radius_cap and user.wants_zoom(node, neighborhood):
             radius += 1
-            neighborhood = extract_neighborhood(graph, node, radius)
+            neighborhood = neighborhoods.neighborhood(node, radius)
 
         positive = user.label(node)
         validated_word = None
@@ -317,7 +318,9 @@ def test_incremental_classification_matches_scratch_across_replay():
     assert result.interactions >= 5 and len(history) >= result.interactions
 
     replay = ExampleSet()
-    classifier = SessionClassifier(graph, replay, max_length=MAX_PATH_LENGTH)
+    classifier = SessionClassifier(
+        graph, replay, max_length=MAX_PATH_LENGTH, index_provider=LanguageIndex
+    )
     for example in history:
         if example.positive:
             replay.add_positive(

@@ -24,7 +24,6 @@ from repro.graph.datasets import biological_network
 from repro.graph.statistics import compute_statistics
 from repro.interactive.oracle import SimulatedUser
 from repro.interactive.session import InteractiveSession
-from repro.query.evaluation import selection_metrics
 from repro.serving.workspace import default_workspace
 from repro.query.rpq import PathQuery
 
@@ -63,7 +62,7 @@ def main() -> None:
         propagated = sum(
             record.propagated_positive + record.propagated_negative for record in result.records
         )
-        metrics = selection_metrics(graph, result.learned_query, goal)
+        metrics = engine.selection_metrics(graph, result.learned_query, goal)
         print(f"  questions asked      : {result.interactions}")
         print(f"  labels propagated    : {propagated} (answered automatically)")
         print(f"  learned query        : {result.learned_query}")

@@ -17,7 +17,6 @@ Run with::
 """
 
 from repro.graph.datasets import motivating_example
-from repro.graph.neighborhood import extract_neighborhood, zoom_out
 from repro.interactive.oracle import SimulatedUser
 from repro.interactive.session import InteractiveSession
 from repro.interactive.visualization import (
@@ -27,20 +26,21 @@ from repro.interactive.visualization import (
 )
 from repro.learning.path_selection import candidate_prefix_tree
 from repro.query.evaluation import witness_path
-from repro.serving.workspace import default_workspace
 from repro.query.rpq import PathQuery
+from repro.serving.workspace import default_workspace
 
 GOAL = "(tram + bus)* . cinema"
 
 
 def main() -> None:
     graph = motivating_example()
+    workspace = default_workspace()
     print(f"graph: {graph!r}")
     print()
 
     # -- 1. direct evaluation (the expert path) -----------------------------
     goal = PathQuery(GOAL)
-    answer = default_workspace().engine.evaluate(graph, goal)
+    answer = workspace.engine.evaluate(graph, goal)
     print(f"expert writes the query herself: {goal}")
     print(f"  answer: {sorted(answer)}")
     for node in sorted(answer):
@@ -59,20 +59,22 @@ def main() -> None:
             f"{'+' if record.positive else '-'} (zooms={record.zooms}, validated={validated})"
         )
     print(f"  learned query : {result.learned_query}")
-    print(f"  its answer    : {sorted(default_workspace().engine.evaluate(graph, result.learned_query))}")
+    print(f"  its answer    : {sorted(workspace.engine.evaluate(graph, result.learned_query))}")
     print(f"  interactions  : {result.interactions} (graph has {graph.node_count} nodes)")
     print()
 
     # -- 3. the Figure 3 artefacts ------------------------------------------
     print("what the user saw for N2 (Figure 3):")
-    radius2 = extract_neighborhood(graph, "N2", 2)
+    neighborhoods = workspace.neighborhoods(graph)
+    radius2 = neighborhoods.neighborhood("N2", 2)
     print(render_neighborhood_text(radius2))
     print()
     print("after zooming out (new elements marked [new]):")
-    print(render_zoom_text(zoom_out(graph, radius2)))
+    print(render_zoom_text(neighborhoods.zoom(radius2)))
     print()
     print("prefix tree of N2's candidate paths (>> marks the system's suggestion):")
-    tree = candidate_prefix_tree(graph, "N2", ["N5"], max_length=3, preferred_length=3)
+    index = workspace.language_index(graph, 3)
+    tree = candidate_prefix_tree(graph, index, "N2", ["N5"], preferred_length=3)
     print(render_prefix_tree_text(tree))
 
 

@@ -121,7 +121,7 @@ def figure2(*, path_validation: bool = True) -> Figure2Result:
     result = session.run()
     learned = result.learned_query
     exact = learned is not None and learned.same_language(goal)
-    engine = default_workspace().engine
+    engine = session.engine
     instance_match = learned is not None and frozenset(
         engine.evaluate(graph, learned)
     ) == frozenset(engine.evaluate(graph, goal))
@@ -160,11 +160,12 @@ def figure3(*, negatives: Tuple[str, ...] = ("N5",)) -> Figure3Result:
     the graph's :class:`~repro.graph.neighborhood.NeighborhoodIndex`.
     """
     graph = motivating_example()
-    index = default_workspace().neighborhoods(graph)
+    workspace = default_workspace()
+    index = workspace.neighborhoods(graph)
     neighborhood_2 = index.neighborhood("N2", 2)
     delta = index.zoom(neighborhood_2)
     tree = candidate_prefix_tree(
-        graph, "N2", negatives, max_length=3, preferred_length=3
+        graph, workspace.language_index(graph, 3), "N2", negatives, preferred_length=3
     )
     return Figure3Result(
         neighborhood_2=neighborhood_2,

@@ -15,10 +15,6 @@ from repro.graph.neighborhood import (
     NeighborhoodIndex,
     Neighborhood,
     NeighborhoodDelta,
-    eccentricity_bound,
-    extract_neighborhood,
-    neighborhood_chain,
-    zoom_out,
 )
 from repro.graph.builders import GraphBuilder, from_triples, merge_graphs, relabel_nodes
 from repro.graph import datasets, generators, io, statistics
@@ -36,10 +32,6 @@ __all__ = [
     "Neighborhood",
     "NeighborhoodDelta",
     "NeighborhoodIndex",
-    "eccentricity_bound",
-    "extract_neighborhood",
-    "neighborhood_chain",
-    "zoom_out",
     "GraphBuilder",
     "from_triples",
     "merge_graphs",

@@ -10,15 +10,16 @@ The neighbourhood also records its *frontier*: the nodes of the fragment
 that still have edges leaving the fragment.  The front-end renders those
 as ``...`` continuations, exactly as in the figures of the paper.
 
-Since the zoom-index PR the module is incremental: a
-:class:`NeighborhoodIndex` caches BFS **layers** per
-``(graph.version, center, directed)``, so zooming out extends the last
-frontier by ``step`` layers instead of re-running BFS from radius 0, the
-zoom delta is read off the layer structure instead of diffing full
-fragment snapshots, and :func:`eccentricity_bound` shares the same
-layers.  :class:`Neighborhood` materialises its induced subgraph (and
-edge set) lazily — a simulated session that only asks "is this witness
-node visible?" never pays for fragment construction at all.
+The module is incremental: a :class:`NeighborhoodIndex` caches BFS
+**layers** per ``(graph.version, center, directed)``, so zooming out
+extends the last frontier by ``step`` layers instead of re-running BFS
+from radius 0, the zoom delta is read off the layer structure instead of
+diffing full fragment snapshots, and
+:meth:`NeighborhoodIndex.eccentricity_bound` shares the same layers.
+:class:`Neighborhood` materialises its induced subgraph (and edge set)
+lazily — a simulated session that only asks "is this witness node
+visible?" never pays for fragment construction at all.  Callers reach a
+graph's index through ``workspace.neighborhoods(graph)``.
 """
 
 from __future__ import annotations
@@ -523,77 +524,3 @@ class NeighborhoodIndex:
         state = self._state(graph, center, directed)
         state.ensure_exhausted(graph)
         return len(state.layers) - 1
-
-
-def _shared_index(graph: LabeledGraph) -> NeighborhoodIndex:
-    """The process workspace's index (no deprecation warning: internal)."""
-    from repro.serving.workspace import default_workspace
-
-    return default_workspace().neighborhoods(graph)
-
-
-
-
-def extract_neighborhood(
-    graph: LabeledGraph,
-    center: Node,
-    radius: int,
-    *,
-    directed: bool = False,
-) -> Neighborhood:
-    """Build the neighbourhood of ``center`` at distance at most ``radius``.
-
-    By default distance is measured ignoring edge direction (as in the
-    paper's figures, where incoming and outgoing context both help the
-    user decide); pass ``directed=True`` to only follow outgoing edges.
-
-    Served from the shared :class:`NeighborhoodIndex` of ``graph``, so
-    repeated extractions around the same centre (a zoom ladder, the
-    eccentricity probe of the session) pay one BFS between them.
-    """
-    return _shared_index(graph).neighborhood(center, radius, directed=directed)
-
-
-def zoom_out(
-    graph: LabeledGraph,
-    neighborhood: Neighborhood,
-    *,
-    step: int = 1,
-    directed: bool = False,
-) -> NeighborhoodDelta:
-    """Grow a neighbourhood by ``step`` and report what became visible.
-
-    Returns a :class:`NeighborhoodDelta` whose ``current`` field is the
-    enlarged neighbourhood and whose ``new_nodes`` / ``new_edges`` are the
-    elements absent from the previous fragment (the blue elements of
-    Figure 3(b)).  Incremental: only the new layers are explored.
-    """
-    return _shared_index(graph).zoom(neighborhood, step=step, directed=directed)
-
-
-def neighborhood_chain(
-    graph: LabeledGraph,
-    center: Node,
-    radii: Tuple[int, ...] = (2, 3),
-    *,
-    directed: bool = False,
-) -> Tuple[Neighborhood, ...]:
-    """Convenience: build neighbourhoods of ``center`` at each radius in ``radii``.
-
-    Used by the figure-reproduction harness to produce the Figure 3(a)
-    and 3(b) fragments in one call; the shared index runs one BFS for
-    the whole chain.
-    """
-    index = _shared_index(graph)
-    if center not in graph:
-        raise NodeNotFoundError(center)
-    return tuple(index.neighborhood(center, radius, directed=directed) for radius in radii)
-
-
-def eccentricity_bound(graph: LabeledGraph, center: Node, *, directed: bool = False) -> int:
-    """Smallest radius whose neighbourhood covers every node reachable from ``center``.
-
-    Zooming out beyond this radius never reveals anything new, so the
-    interactive session uses it to disable the zoom action.
-    """
-    return _shared_index(graph).eccentricity_bound(center, directed=directed)

@@ -39,7 +39,6 @@ from repro.graph.neighborhood import Neighborhood
 from repro.query.evaluation import witness_path
 from repro.query.rpq import PathQuery
 from repro.regex.ast import Regex
-from repro.serving.workspace import default_workspace
 
 Word = Tuple[str, ...]
 
@@ -58,7 +57,12 @@ class SimulatedUser:
         self.graph = graph
         self.goal = goal if isinstance(goal, PathQuery) else PathQuery(goal)
         self.zoom_patience = zoom_patience
-        self.engine = (workspace or default_workspace()).engine
+        if workspace is None:
+            # lazy: the serving package imports the session, which imports this module
+            from repro.serving.workspace import default_workspace
+
+            workspace = default_workspace()
+        self.engine = workspace.engine
         self._answer = frozenset(self.engine.evaluate(graph, self.goal))
         #: statistics the experiment harness reads back
         self.labels_answered = 0

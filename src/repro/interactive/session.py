@@ -357,11 +357,10 @@ class InteractiveSession:
         for bound in (neighborhood.radius, self.max_path_length):
             tree = candidate_prefix_tree(
                 self.graph,
+                self.workspace.language_index(self.graph, bound),
                 node,
                 self.examples.negative_nodes,
-                max_length=bound,
                 preferred_length=neighborhood.radius,
-                index=self.workspace.language_index(self.graph, bound),
             )
             choice = self.user.validate_path(node, tree)
             if choice is not None:

@@ -12,15 +12,16 @@ goal query from merely "learning" a consistent one (Section 3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Tuple, Union
+from typing import FrozenSet, Tuple, Union
 
 from repro.automata.dfa import DFA, symbol_sort_key
 from repro.graph.labeled_graph import LabeledGraph, Node
 from repro.learning.examples import ExampleSet, Word
+from repro.learning.language_index import LanguageIndex
+from repro.learning.path_selection import consistent_words_for
 from repro.query.engine import QueryEngine
 from repro.query.rpq import PathQuery
 from repro.regex.ast import Regex
-from repro.serving.workspace import default_workspace
 
 QueryLike = Union[str, Regex, PathQuery, DFA]
 
@@ -54,13 +55,13 @@ def check_consistency(
     query: QueryLike,
     examples: ExampleSet,
     *,
-    engine: Optional[QueryEngine] = None,
+    engine: QueryEngine,
 ) -> ConsistencyReport:
     """Full consistency check of ``query`` against ``examples`` on ``graph``.
 
-    The answer set is computed through ``engine`` (default: the shared
-    engine), so checking the same hypothesis repeatedly — as the
-    interactive loop does after every label — hits the answer cache.
+    The answer set is computed through ``engine`` (a workspace's engine),
+    so checking the same hypothesis repeatedly — as the interactive loop
+    does after every label — hits the answer cache.
     """
     if isinstance(query, PathQuery):
         dfa = query.dfa
@@ -70,7 +71,7 @@ def check_consistency(
         query = PathQuery(query)
         dfa = query.dfa
 
-    answer = (engine or default_workspace().engine).evaluate(graph, query)
+    answer = engine.evaluate(graph, query)
     missed = frozenset(node for node in examples.positive_nodes if node not in answer)
     covered = frozenset(node for node in examples.negative_nodes if node in answer)
     rejected = tuple(
@@ -89,17 +90,15 @@ def check_consistency(
     )
 
 
-def examples_admit_query(graph: LabeledGraph, examples: ExampleSet, *, max_path_length: int) -> bool:
+def examples_admit_query(index: LanguageIndex, examples: ExampleSet) -> bool:
     """True when *some* query consistent with ``examples`` can exist.
 
     A sufficient and necessary condition under the paper's semantics: every
     positive node must have at least one word (of any length; we search up
-    to ``max_path_length``) that no negative node can spell — otherwise any
-    query selecting the positive necessarily selects a negative too.
+    to ``index.max_length``) that no negative node can spell — otherwise
+    any query selecting the positive necessarily selects a negative too.
     """
-    from repro.learning.path_selection import consistent_words_for
-
     for node in examples.positive_nodes:
-        if not consistent_words_for(graph, node, examples.negative_nodes, max_length=max_path_length, limit=1):
+        if not consistent_words_for(index, node, examples.negative_nodes, limit=1):
             return False
     return True

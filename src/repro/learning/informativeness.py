@@ -56,18 +56,6 @@ from repro.learning.language_index import (
     iter_bits,
     popcount,
 )
-from repro.learning.path_selection import covered_words
-
-
-def _workspace_language_index(graph: LabeledGraph, max_length: int) -> LanguageIndex:
-    """Default index provider: the process workspace's build-once index.
-
-    Imported lazily because :mod:`repro.serving.workspace` imports this
-    module (the classifier is one of the structures it hosts).
-    """
-    from repro.serving.workspace import default_workspace
-
-    return default_workspace().language_index(graph, max_length)
 
 
 @dataclass(frozen=True)
@@ -107,6 +95,19 @@ class NodeStatus:
         return (self.uncovered_word_count, True, -shortest)
 
 
+def _scratch_cover(graph: LabeledGraph, negatives: Iterable[Node], max_length: int) -> Set[Word]:
+    """Words covered by ``negatives``, enumerated path by path.
+
+    The scratch oracle shares no structure with the
+    :class:`~repro.learning.language_index.LanguageIndex` it checks.
+    An unknown negative raises :class:`NodeNotFoundError`.
+    """
+    banned: Set[Word] = set()
+    for node in negatives:
+        banned |= words_from(graph, node, max_length)
+    return banned
+
+
 def classify_node(
     graph: LabeledGraph,
     node: Node,
@@ -123,7 +124,7 @@ def classify_node(
     nodes against the same example set.
     """
     if banned is None:
-        banned = covered_words(graph, examples.negative_nodes, max_length)
+        banned = _scratch_cover(graph, examples.negative_nodes, max_length)
     if validated is None:
         validated = set(examples.validated_words().values())
 
@@ -156,7 +157,7 @@ def classify_all_scratch(
     oracle that :class:`SessionClassifier` is verified against (and as
     the baseline of ``benchmarks/bench_session_loop.py``).
     """
-    banned = covered_words(graph, examples.negative_nodes, max_length)
+    banned = _scratch_cover(graph, examples.negative_nodes, max_length)
     validated = set(examples.validated_words().values())
     pool = candidates if candidates is not None else graph.nodes()
     return {
@@ -207,7 +208,7 @@ class SessionClassifier:
         examples: ExampleSet,
         *,
         max_length: int,
-        index_provider=None,
+        index_provider,
     ):
         self.graph = graph
         #: the example set this classifier tracks
@@ -216,9 +217,7 @@ class SessionClassifier:
         #: ``(graph, max_length) -> LanguageIndex`` — a GraphWorkspace
         #: threads its own accessor here so index (re)builds go through
         #: the workspace's build-once locks and accounting
-        self._index_provider = (
-            index_provider if index_provider is not None else _workspace_language_index
-        )
+        self._index_provider = index_provider
         self._index: Optional[LanguageIndex] = None
         self._statuses: Dict[Node, NodeStatus] = {}
         self._cover = 0
@@ -357,20 +356,31 @@ class SessionClassifier:
         )
 
 
+def _one_shot_classifier(
+    graph: LabeledGraph, index: LanguageIndex, examples: ExampleSet
+) -> SessionClassifier:
+    """A :class:`SessionClassifier` over ``index`` for a single query."""
+    index.check_current(graph)
+    return SessionClassifier(
+        graph, examples, max_length=index.max_length, index_provider=lambda *_: index
+    )
+
+
 def classify_all(
     graph: LabeledGraph,
+    index: LanguageIndex,
     examples: ExampleSet,
     *,
-    max_length: int,
     candidates: Optional[Iterable[Node]] = None,
 ) -> Dict[Node, NodeStatus]:
     """Classify every node (or just ``candidates``) against the examples.
 
-    A one-shot helper over a fresh :class:`SessionClassifier` (whose
-    language index comes from the default workspace).  Results are
-    identical to :func:`classify_all_scratch`.
+    A one-shot helper over a fresh :class:`SessionClassifier` on
+    ``index``, which must be built on ``graph`` at its current version;
+    the bound is ``index.max_length``.  Results are identical to
+    :func:`classify_all_scratch`.
     """
-    statuses = SessionClassifier(graph, examples, max_length=max_length).statuses()
+    statuses = _one_shot_classifier(graph, index, examples).statuses()
     if candidates is None:
         return statuses
     restricted: Dict[Node, NodeStatus] = {}
@@ -384,9 +394,9 @@ def classify_all(
 
 def informative_nodes(
     graph: LabeledGraph,
+    index: LanguageIndex,
     examples: ExampleSet,
     *,
-    max_length: int,
     candidates: Optional[Iterable[Node]] = None,
 ) -> List[Node]:
     """The informative nodes, sorted by decreasing informativeness score.
@@ -394,35 +404,29 @@ def informative_nodes(
     Ties are broken by node identifier so the ordering is deterministic.
     """
     if candidates is None:
-        return SessionClassifier(graph, examples, max_length=max_length).informative()
-    statuses = classify_all(graph, examples, max_length=max_length, candidates=candidates)
+        return _one_shot_classifier(graph, index, examples).informative()
+    statuses = classify_all(graph, index, examples, candidates=candidates)
     return _ranked_informative(statuses.values())
 
 
 def pruned_nodes(
-    graph: LabeledGraph,
-    examples: ExampleSet,
-    *,
-    max_length: int,
+    graph: LabeledGraph, index: LanguageIndex, examples: ExampleSet
 ) -> FrozenSet[Node]:
     """Unlabelled nodes whose label is already implied (the pruned set).
 
     The size of this set after each interaction is the quantity tracked by
     experiment E2 (pruning effectiveness).
     """
-    statuses = classify_all(graph, examples, max_length=max_length)
+    statuses = classify_all(graph, index, examples)
     return frozenset(node for node, status in statuses.items() if status.pruned)
 
 
 def pruning_fraction(
-    graph: LabeledGraph,
-    examples: ExampleSet,
-    *,
-    max_length: int,
+    graph: LabeledGraph, index: LanguageIndex, examples: ExampleSet
 ) -> float:
     """Fraction of unlabelled nodes that are pruned (0.0 when all nodes are labelled)."""
     unlabeled = [node for node in graph.nodes() if node not in examples.labeled_nodes]
     if not unlabeled:
         return 0.0
-    pruned = pruned_nodes(graph, examples, max_length=max_length)
+    pruned = pruned_nodes(graph, index, examples)
     return len(pruned) / len(unlabeled)

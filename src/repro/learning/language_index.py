@@ -212,6 +212,14 @@ class LanguageIndex:
                 frontier = next_frontier
             self._languages[node] = language
 
+    def check_current(self, graph: LabeledGraph) -> None:
+        """Raise :class:`ValueError` unless this index snapshots ``graph`` as it is now."""
+        if self.version != graph.version:
+            raise ValueError(
+                f"language index is at graph version {self.version}, "
+                f"the graph is at {graph.version}"
+            )
+
     # ------------------------------------------------------------------
     # languages and covers
     # ------------------------------------------------------------------
@@ -509,12 +517,6 @@ def _affected_nodes(
     return affected
 
 
-def _workspace_index(graph: LabeledGraph, max_length: int) -> LanguageIndex:
-    from repro.serving.workspace import default_workspace
-
-    return default_workspace().language_index(graph, max_length)
-
-
 # ----------------------------------------------------------------------
 # Merge-aware compatibility
 # ----------------------------------------------------------------------
@@ -533,7 +535,7 @@ class CompatibilityOracle:
        *witness* that some negative node is selected (sound for any
        bound, and linear in the trie instead of per-negative);
     3. when the candidate's accepted words all fit within the bound
-       (acyclic useful part with longest accepted word ≤ ``max_length``),
+       (acyclic useful part with longest accepted word ≤ ``index.max_length``),
        the walk is also *complete*, so a missing witness proves
        compatibility outright;
     4. only candidates that accept words longer than the bound (merges
@@ -548,25 +550,14 @@ class CompatibilityOracle:
     merge partition signature.
     """
 
-    __slots__ = ("graph", "negatives", "index", "cover_bits", "max_length")
+    __slots__ = ("graph", "negatives", "index", "cover_bits")
 
-    def __init__(
-        self,
-        graph: LabeledGraph,
-        negatives: Iterable[Node],
-        *,
-        max_length: int,
-        index: Optional[LanguageIndex] = None,
-    ):
+    def __init__(self, graph: LabeledGraph, index: LanguageIndex, negatives: Iterable[Node]):
+        index.check_current(graph)
         self.graph = graph
-        self.negatives: Tuple[Node, ...] = tuple(sorted(negatives, key=str))
-        self.max_length = max_length
-        # callers holding a GraphWorkspace pass its index; the shim keeps
-        # index-less construction working for legacy call sites
-        if index is None or index.version != graph.version or index.max_length != max_length:
-            index = _workspace_index(graph, max_length)
         self.index = index
-        self.cover_bits = self.index.cover(self.negatives)
+        self.negatives: Tuple[Node, ...] = tuple(sorted(negatives, key=str))
+        self.cover_bits = index.cover(self.negatives)
 
     def compatible(self, dfa: DFA) -> bool:
         """True when ``dfa`` selects no negative node of the graph."""
@@ -577,7 +568,7 @@ class CompatibilityOracle:
         if self._bounded_witness(dfa):
             return False
         longest = _longest_accepted_length(dfa)
-        if longest is not None and longest <= self.max_length:
+        if longest is not None and longest <= self.index.max_length:
             return True  # every accepted word fits the bound: walk was complete
         return not self._selects_any_negative(dfa)
 

@@ -93,11 +93,10 @@ class PathQueryLearner:
         length bound).
         """
         chosen: Dict[Node, Word] = {}
-        graph = self.graph
-        negatives = [node for node in examples.negative_nodes if node in graph]
+        index = self.workspace.language_index(self.graph, self.max_path_length)
+        negatives = [node for node in examples.negative_nodes if node in index]
         # one negative-cover bitset serves every positive node of this call
         # (select_path would otherwise re-derive it per positive)
-        index = self.workspace.language_index(graph, self.max_path_length)
         banned = index.cover(negatives)
         for node in sorted(examples.positive_nodes, key=str):
             validated = examples.validated_word(node)
@@ -105,14 +104,7 @@ class PathQueryLearner:
                 chosen[node] = validated
                 continue
             try:
-                chosen[node] = select_path(
-                    graph,
-                    node,
-                    negatives,
-                    max_length=self.max_path_length,
-                    cover_bits=banned,
-                    index=index,
-                )
+                chosen[node] = select_path(index, node, negatives, cover_bits=banned)
             except NoConsistentPathError as error:
                 raise InconsistentExamplesError(
                     f"positive node {node!r} has no path uncovered by the negative examples "
@@ -133,9 +125,8 @@ class PathQueryLearner:
         """
         oracle = CompatibilityOracle(
             self.graph,
-            sorted(examples.negative_nodes, key=str),
-            max_length=self.max_path_length,
-            index=self.workspace.language_index(self.graph, self.max_path_length),
+            self.workspace.language_index(self.graph, self.max_path_length),
+            examples.negative_nodes,
         )
         return oracle.compatible
 

@@ -15,7 +15,7 @@ heuristic: if she zoomed to distance 3, a length-3 path likely matters).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.automata.prefix_tree import PathPrefixTree, build_path_prefix_tree
 from repro.exceptions import NoConsistentPathError
@@ -26,67 +26,36 @@ from repro.learning.language_index import LanguageIndex
 Word = Tuple[str, ...]
 
 
-def _resolve_index(
-    graph: LabeledGraph, max_length: int, index: Optional[LanguageIndex]
-) -> LanguageIndex:
-    """Use the caller's ``index`` when it matches this snapshot, else the shared one.
-
-    Workspace-backed callers (the learner, the session loop) pass their
-    workspace's index so these helpers never touch the module registry;
-    index-less calls keep the legacy behaviour.
-    """
-    if (
-        index is not None
-        and index.version == graph.version
-        and index.max_length == max_length
-    ):
-        return index
-    # lazy: the workspace's import closure includes this module
-    from repro.serving.workspace import default_workspace
-
-    return default_workspace().language_index(graph, max_length)
-
-
-def covered_words(
-    graph: LabeledGraph,
-    negatives: Iterable[Node],
-    max_length: int,
-    *,
-    index: Optional[LanguageIndex] = None,
-) -> Set[Word]:
+def covered_words(index: LanguageIndex, negatives: Iterable[Node]) -> Set[Word]:
     """The union of the bounded path languages of the negative nodes.
 
     A word in this set is "covered by a negative": making the hypothesis
-    accept it would select a negative node.
+    accept it would select a negative node.  The bound is
+    ``index.max_length``.
 
-    Every negative must be a node of ``graph``; an unknown node raises
-    :class:`NodeNotFoundError`, consistent with
+    Every negative must be a node of the index's graph snapshot; an
+    unknown node raises :class:`NodeNotFoundError`, consistent with
     :func:`repro.graph.paths.words_from`.  (Earlier versions silently
     skipped unknown negatives, which let a typo in an example set shrink
     the cover — and therefore weaken pruning and path selection — without
     any signal.)  Callers with speculative negative sets must pre-filter,
     as :func:`consistent_words_for` does.
     """
-    index = _resolve_index(graph, max_length, index)
-    bits = 0
-    for node in negatives:
-        bits |= index.language(node)  # raises NodeNotFoundError when absent
-    return index.decode(bits)
+    return index.decode(index.cover(negatives))  # raises NodeNotFoundError when absent
 
 
 def consistent_words_for(
-    graph: LabeledGraph,
+    index: LanguageIndex,
     node: Node,
     negatives: Iterable[Node],
     *,
-    max_length: int,
     limit: Optional[int] = None,
-    index: Optional[LanguageIndex] = None,
 ) -> List[Word]:
-    """Words of ``node`` (length ≤ ``max_length``) covered by no negative.
+    """Words of ``node`` (length ≤ ``index.max_length``) covered by no negative.
 
     Returned shortest-first, ties broken lexicographically, so the first
-    element is the learner's default candidate.
+    element is the learner's default candidate.  Negatives absent from
+    the index are ignored.
 
     The empty word is offered as a last resort only when the node has no
     non-empty uncovered word *and* there is no negative example: every node
@@ -95,8 +64,7 @@ def consistent_words_for(
     what makes a sink node a legal positive example in an otherwise
     negative-free example set.)
     """
-    negative_nodes = [item for item in negatives if item in graph]
-    index = _resolve_index(graph, max_length, index)
+    negative_nodes = [item for item in negatives if item in index]
     banned = index.cover(negative_nodes)
     uncovered = index.language(node) & ~banned
     if limit is not None and limit <= 0:
@@ -118,14 +86,12 @@ def consistent_words_for(
 
 
 def select_path(
-    graph: LabeledGraph,
+    index: LanguageIndex,
     node: Node,
-    negatives: Iterable[Node],
+    negatives: Collection[Node],
     *,
-    max_length: int,
     preferred_length: Optional[int] = None,
     cover_bits: Optional[int] = None,
-    index: Optional[LanguageIndex] = None,
 ) -> Word:
     """Pick the candidate word for a positive node.
 
@@ -134,46 +100,48 @@ def select_path(
     user inspected), words of exactly that length are preferred, matching
     the heuristic the paper uses to pre-highlight a path in Figure 3(c).
 
-    ``cover_bits`` optionally passes a precomputed negative-cover bitset
-    (``workspace.language_index(graph, max_length).cover(...)``) so callers
-    selecting words for many positive nodes — the learner's step (i) —
-    derive the cover once instead of once per node.
+    Without ``cover_bits`` negatives absent from the index are ignored
+    and the cover is derived here.  ``cover_bits`` passes a precomputed
+    cover, ``index.cover(negatives)``, so callers selecting words for many
+    positive nodes — the learner's step (i) — filter the negatives and
+    derive the cover once instead of once per node; ``negatives`` is then
+    that already-filtered collection and is only tested for emptiness.
 
-    Raises :class:`NoConsistentPathError` when every word of the node up to
-    ``max_length`` is covered by a negative.
+    Returns the empty word when the node has no uncovered word and there
+    is no negative (see :func:`consistent_words_for`); raises
+    :class:`NoConsistentPathError` when every word of the node up to
+    ``index.max_length`` is covered by some negative.
     """
-    negative_nodes = [item for item in negatives if item in graph]
-    index = _resolve_index(graph, max_length, index)
     if cover_bits is None:
-        cover_bits = index.cover(negative_nodes)
+        negatives = [item for item in negatives if item in index]
+        cover_bits = index.cover(negatives)
     uncovered = index.language(node) & ~cover_bits
     word = index.pick_word(uncovered, preferred_length)
     if word is not None:
         return word
-    if not negative_nodes:
+    if not negatives:
         return ()  # the empty-word fallback of consistent_words_for
-    raise NoConsistentPathError(node, max_length)
+    raise NoConsistentPathError(node, index.max_length)
 
 
 def candidate_prefix_tree(
     graph: LabeledGraph,
+    index: LanguageIndex,
     node: Node,
     negatives: Iterable[Node],
     *,
-    max_length: int,
     preferred_length: Optional[int] = None,
-    index: Optional[LanguageIndex] = None,
 ) -> PathPrefixTree:
     """The prefix tree of uncovered words of ``node``, candidate highlighted.
 
     This is exactly the artefact shown to the user in Figure 3(c): all
-    paths of the node of length at most the last neighbourhood size that
-    are not yet covered by negative examples, presented as a prefix tree
-    with the system's best guess highlighted.
+    paths of the node of length at most ``index.max_length`` (the last
+    neighbourhood size) that are not yet covered by negative examples,
+    presented as a prefix tree with the system's best guess highlighted.
+    ``index`` must be built on ``graph`` at its current version.
     """
-    uncovered = consistent_words_for(
-        graph, node, negatives, max_length=max_length, index=index
-    )
+    index.check_current(graph)
+    uncovered = consistent_words_for(index, node, negatives)
     endpoints: Dict[Word, Tuple] = {}
     for word in uncovered:
         # record the graph nodes reachable by spelling each prefix of the word
@@ -207,27 +175,27 @@ def _endpoints_of(graph: LabeledGraph, start: Node, word: Sequence[str]) -> Tupl
 
 def validate_word(
     graph: LabeledGraph,
+    index: LanguageIndex,
     node: Node,
     word: Sequence[str],
     negatives: Iterable[Node],
-    *,
-    max_length: int,
-    index: Optional[LanguageIndex] = None,
 ) -> bool:
     """Check that ``word`` is a legal validation answer for ``node``.
 
-    The word must be spellable from the node and not covered by any
-    negative example (the interactive UI only offers such words, but the
-    programmatic API re-checks before trusting a caller).  Negatives
-    absent from the graph are ignored, like in
-    :func:`consistent_words_for` — this function validates caller input,
-    so a speculative negative set must not turn the check into an error.
+    The word must be spellable from the node, no longer than
+    ``index.max_length`` and not covered by any negative example (the
+    interactive UI only offers such words, but the programmatic API
+    re-checks before trusting a caller).  Negatives absent from the graph
+    are ignored, like in :func:`consistent_words_for` — this function
+    validates caller input, so a speculative negative set must not turn
+    the check into an error.  ``index`` must be built on ``graph`` at its
+    current version.
     """
+    index.check_current(graph)
     if not has_word(graph, node, word):
         return False
-    if len(word) > max_length:
+    if len(word) > index.max_length:
         return False
-    index = _resolve_index(graph, max_length, index)
-    banned = index.cover(node for node in negatives if node in graph)
+    banned = index.cover(item for item in negatives if item in index)
     word_id = index.arena.lookup(word)
     return word_id is None or not (banned >> word_id) & 1

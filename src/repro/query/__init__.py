@@ -1,14 +1,8 @@
 """Regular path queries: semantics, evaluation, and comparison."""
 
 from repro.query.rpq import PathQuery
-from repro.query.engine import QueryEngine, QueryPlan, compile_plan
-from repro.query.evaluation import (
-    answer_signature,
-    evaluate_many,
-    selection_metrics,
-    selects,
-    witness_path,
-)
+from repro.query.engine import QueryEngine, QueryPlan
+from repro.query.evaluation import witness_path
 from repro.query.containment import (
     containment_counterexample,
     distinguishing_node,
@@ -23,11 +17,6 @@ __all__ = [
     "PathQuery",
     "QueryEngine",
     "QueryPlan",
-    "compile_plan",
-    "answer_signature",
-    "evaluate_many",
-    "selection_metrics",
-    "selects",
     "witness_path",
     "containment_counterexample",
     "distinguishing_node",

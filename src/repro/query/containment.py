@@ -19,7 +19,7 @@ from typing import Optional, Tuple, Union
 from repro.automata.dfa import DFA
 from repro.automata.equivalence import counterexample, equivalent, included, inclusion_counterexample
 from repro.graph.labeled_graph import LabeledGraph, Node
-from repro.serving.workspace import default_workspace
+from repro.query.engine import QueryEngine
 from repro.query.rpq import PathQuery
 from repro.regex.ast import Regex
 
@@ -54,24 +54,24 @@ def containment_counterexample(first: QueryLike, second: QueryLike) -> Optional[
     return inclusion_counterexample(_as_query(first).dfa, _as_query(second).dfa)
 
 
-def instance_equivalent(graph: LabeledGraph, first: QueryLike, second: QueryLike) -> bool:
+def instance_equivalent(
+    engine: QueryEngine, graph: LabeledGraph, first: QueryLike, second: QueryLike
+) -> bool:
     """True when the two queries select the same nodes of ``graph``."""
-    engine = default_workspace().engine
     return engine.evaluate(graph, first) == engine.evaluate(graph, second)
 
 
 def instance_difference(
-    graph: LabeledGraph, first: QueryLike, second: QueryLike
+    engine: QueryEngine, graph: LabeledGraph, first: QueryLike, second: QueryLike
 ) -> Tuple[frozenset, frozenset]:
     """Nodes selected only by ``first`` and only by ``second`` on ``graph``."""
-    engine = default_workspace().engine
     first_answer = engine.evaluate(graph, first)
     second_answer = engine.evaluate(graph, second)
     return (first_answer - second_answer, second_answer - first_answer)
 
 
 def distinguishing_node(
-    graph: LabeledGraph, first: QueryLike, second: QueryLike
+    engine: QueryEngine, graph: LabeledGraph, first: QueryLike, second: QueryLike
 ) -> Optional[Node]:
     """A node on which the two queries disagree (or ``None``).
 
@@ -79,6 +79,6 @@ def distinguishing_node(
     present to the user next when both queries are still consistent with
     the current examples.
     """
-    only_first, only_second = instance_difference(graph, first, second)
+    only_first, only_second = instance_difference(engine, graph, first, second)
     candidates = sorted(only_first | only_second, key=str)
     return candidates[0] if candidates else None

@@ -41,11 +41,10 @@ backward product pass over the indexed graph (the candidate DFAs are run
 as a disjoint union automaton), instead of one independent pass per
 query.
 
-The public helpers of :mod:`repro.query.evaluation` are thin wrappers
-over the engine of the process default
-:class:`~repro.serving.workspace.GraphWorkspace`, so free-function call
-sites get the indexed + cached path for free; code that wants isolated
-caches (or cache statistics) holds its own workspace/engine.
+Every caller reaches an engine through a
+:class:`~repro.serving.workspace.GraphWorkspace` (``workspace.engine``)
+and passes it down explicitly; code that wants isolated caches (or
+cache statistics) holds its own workspace.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ from repro.regex.ast import Regex
 
 QueryLike = Union[str, Regex, PathQuery, DFA]
 
-__all__ = ["QueryPlan", "QueryEngine", "compile_plan"]
+__all__ = ["QueryPlan", "QueryEngine"]
 
 
 class QueryPlan:
@@ -607,10 +606,3 @@ class QueryEngine:
                     seen.add(encoded)
                     queue.append((target_id, target_state))
         return False
-
-
-def compile_plan(query: QueryLike) -> QueryPlan:
-    """Compile ``query`` with the process workspace's engine (convenience)."""
-    from repro.serving.workspace import default_workspace
-
-    return default_workspace().engine.plan(query)

@@ -13,39 +13,29 @@ following reversed product edges), which evaluates the query for **all**
 nodes in ``O(|G| · |A|)`` — the standard RPQ evaluation bound — instead of
 running a forward search per node.
 
-Since the engine refactor the functions in this module are thin wrappers
-over the engine of the process default
-:class:`~repro.serving.workspace.GraphWorkspace`, which adds a
-label-indexed graph representation, compiled query plans, a
+Evaluation itself lives on :class:`~repro.query.engine.QueryEngine`
+(``workspace.engine.evaluate(graph, query)``, ``selects``,
+``evaluate_many``, ``answer_signature``, ``selection_metrics``), which
+adds a label-indexed graph representation, compiled query plans, a
 shared-frontier batch evaluator and an answer cache keyed on
-``(graph.version, fingerprint)``.  The semantics documented here are
-unchanged.  Full answer sets are computed via
-``workspace.engine.evaluate(graph, query)`` on a workspace you hold.
+``(graph.version, fingerprint)``.  This module keeps the one
+engine-free primitive: :func:`witness_path`, the shortest path that
+explains why a node is selected.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
+from typing import Optional, Set, Tuple, Union
 
 from repro.automata.dfa import DFA, symbol_sort_key
+from repro.exceptions import NodeNotFoundError
 from repro.graph.labeled_graph import LabeledGraph, Node
 from repro.graph.paths import Path
 from repro.query.rpq import PathQuery
 from repro.regex.ast import Regex
 
 QueryLike = Union[str, Regex, PathQuery, DFA]
-
-
-def _workspace_engine():
-    """The process workspace's engine.
-
-    Imported lazily: this module sits in ``repro.query``'s package init,
-    which runs long before the serving package can finish importing.
-    """
-    from repro.serving.workspace import default_workspace
-
-    return default_workspace().engine
 
 
 def _as_dfa(query: QueryLike) -> DFA:
@@ -55,18 +45,6 @@ def _as_dfa(query: QueryLike) -> DFA:
     if isinstance(query, PathQuery):
         return query.dfa
     return PathQuery(query).dfa
-
-
-def selects(graph: LabeledGraph, query: QueryLike, node: Node) -> bool:
-    """True when ``query`` selects ``node`` in ``graph``.
-
-    For single-node checks a forward search over the product restricted
-    to what is reachable from ``(node, initial)`` is cheaper than the
-    global evaluation; when the shared engine already holds the full
-    answer set for this graph version, membership is answered from the
-    cache instead.
-    """
-    return _workspace_engine().selects(graph, query, node)
 
 
 def witness_path(
@@ -79,8 +57,6 @@ def witness_path(
     """
     dfa = _as_dfa(query)
     if node not in graph:
-        from repro.exceptions import NodeNotFoundError
-
         raise NodeNotFoundError(node)
     start_pair = (node, dfa.initial_state)
     if dfa.is_accepting(dfa.initial_state):
@@ -106,34 +82,3 @@ def witness_path(
                 seen.add(pair)
                 queue.append((pair, extended))
     return None
-
-
-def evaluate_many(
-    graph: LabeledGraph, queries: Iterable[QueryLike]
-) -> List[FrozenSet[Node]]:
-    """Evaluate several queries on the same graph.
-
-    The candidate set is deduplicated by plan fingerprint and every cache
-    miss is answered in **one** shared-frontier backward product pass
-    (the candidates run as a disjoint union automaton), instead of one
-    independent pass per query.
-    """
-    return _workspace_engine().evaluate_many(graph, queries)
-
-
-def answer_signature(graph: LabeledGraph, query: QueryLike) -> Tuple[Node, ...]:
-    """Sorted tuple of selected nodes — a hashable answer fingerprint.
-
-    Used by the halt condition "the user is satisfied with the output of
-    an intermediary query" and by experiment metrics.
-    """
-    return _workspace_engine().answer_signature(graph, query)
-
-
-def selection_metrics(
-    graph: LabeledGraph, learned: QueryLike, goal: QueryLike
-) -> Dict[str, float]:
-    """Precision / recall / F1 of the learned query against the goal query
-    *on this instance* (the relevant notion for the user: does the answer
-    set match what she wanted on her database)."""
-    return _workspace_engine().selection_metrics(graph, learned, goal)

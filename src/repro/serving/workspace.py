@@ -6,8 +6,8 @@ the neighbourhood indexes all lived in module-level registries.  That
 is fine for one session; a server multiplexing many sessions over one
 graph needs an explicit handle it can size, refresh and account for —
 and it needs *build-once* semantics when N cold sessions race on the
-same index.  Every consumer holds a workspace, or implicitly uses
-:func:`default_workspace`.
+same index.  Every entry point holds a workspace, or implicitly uses
+:func:`default_workspace`, and hands its engine and indexes down.
 
 A workspace owns exactly the state that is **read-mostly and keyed on**
 ``(graph.version, …)``:
@@ -469,10 +469,13 @@ _DEFAULT_LOCK = threading.Lock()
 def default_workspace() -> GraphWorkspace:
     """The process-wide :class:`GraphWorkspace`.
 
-    The implicit sharing default: sessions, free functions and CLI
-    commands that are not handed an explicit workspace all resolve to
-    this one, so they share one set of caches per process.  Servers and
-    tests that need isolation construct their own workspace instead.
+    The implicit sharing default of the entry points: sessions,
+    learners, simulated users, the session manager, the experiment
+    harness and CLI commands that are not handed an explicit workspace
+    all resolve to this one, so they share one set of caches per
+    process.  Everything below them is handed the engine or index it
+    uses.  Servers and tests that need isolation construct their own
+    workspace instead.
     """
     global _DEFAULT
     workspace = _DEFAULT

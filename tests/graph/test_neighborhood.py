@@ -10,18 +10,12 @@ import pytest
 
 from repro.exceptions import NodeNotFoundError
 from repro.graph.generators import random_graph, scale_free_graph
-from repro.graph.neighborhood import (
-    NeighborhoodIndex,
-    eccentricity_bound,
-    extract_neighborhood,
-    neighborhood_chain,
-    zoom_out,
-)
+from repro.graph.neighborhood import NeighborhoodIndex
 from repro.serving.workspace import default_workspace
 
 
 def neighborhood_index(graph):
-    """Workspace-backed index accessor (the module-level shim now warns)."""
+    """The default workspace's index of ``graph``."""
     return default_workspace().neighborhoods(graph)
 
 
@@ -147,14 +141,14 @@ class TestIndexBehaviour:
 
     def test_lazy_fragment_raises_after_mutation(self, figure1_graph):
         graph = figure1_graph.copy()
-        neighborhood = extract_neighborhood(graph, "N2", 2)
+        neighborhood = neighborhood_index(graph).neighborhood("N2", 2)
         graph.add_edge("N2", "tram", "C1")
         with pytest.raises(RuntimeError):
             neighborhood.graph  # noqa: B018 - materialisation is the side effect
 
     def test_materialised_fragment_survives_mutation(self, figure1_graph):
         graph = figure1_graph.copy()
-        neighborhood = extract_neighborhood(graph, "N2", 2)
+        neighborhood = neighborhood_index(graph).neighborhood("N2", 2)
         fragment = neighborhood.graph
         graph.add_edge("N2", "tram", "C1")
         assert "C1" not in fragment
@@ -170,9 +164,9 @@ class TestIndexBehaviour:
     def test_zoom_after_mutation_still_returns_a_delta(self, figure1_graph):
         """Regression: the stale-previous fallback must not raise."""
         graph = figure1_graph.copy()
-        base = extract_neighborhood(graph, "N2", 1)
+        base = neighborhood_index(graph).neighborhood("N2", 1)
         graph.add_edge("N2", "tram", "C2")
-        delta = zoom_out(graph, base)
+        delta = neighborhood_index(graph).zoom(base)
         assert delta.current.radius == 2
         assert "C2" in delta.current.nodes
         assert ("N2", "tram", "C2") in delta.new_edges
@@ -200,7 +194,7 @@ class TestIndexBehaviour:
         import weakref
 
         graph = random_graph(20, 40, seed=5)
-        neighborhood = extract_neighborhood(graph, "n0", 2)
+        neighborhood = neighborhood_index(graph).neighborhood("n0", 2)
         fragment = neighborhood.graph  # materialise -> base reference dropped
         graph_ref = weakref.ref(graph)
         del graph
@@ -212,112 +206,113 @@ class TestIndexBehaviour:
 
 class TestExtractNeighborhood:
     def test_radius_zero_is_just_the_center(self, figure1_graph):
-        neighborhood = extract_neighborhood(figure1_graph, "N2", 0)
+        neighborhood = neighborhood_index(figure1_graph).neighborhood("N2", 0)
         assert set(neighborhood.graph.nodes()) == {"N2"}
         assert neighborhood.center == "N2"
         assert neighborhood.radius == 0
 
     def test_figure3a_radius_two_has_no_cinema(self, figure1_graph):
         """At distance 2 from N2 the user cannot see any cinema yet."""
-        neighborhood = extract_neighborhood(figure1_graph, "N2", 2)
+        neighborhood = neighborhood_index(figure1_graph).neighborhood("N2", 2)
         assert "C1" not in neighborhood.graph
         assert "C2" not in neighborhood.graph
         assert "N1" in neighborhood.graph
         assert "N4" in neighborhood.graph
 
     def test_figure3b_radius_three_reveals_cinema(self, figure1_graph):
-        neighborhood = extract_neighborhood(figure1_graph, "N2", 3)
+        neighborhood = neighborhood_index(figure1_graph).neighborhood("N2", 3)
         assert "C1" in neighborhood.graph
         assert "C2" in neighborhood.graph
 
     def test_distances_recorded(self, figure1_graph):
-        neighborhood = extract_neighborhood(figure1_graph, "N2", 2)
+        neighborhood = neighborhood_index(figure1_graph).neighborhood("N2", 2)
         assert neighborhood.distances["N2"] == 0
         assert neighborhood.distances["N1"] == 1
         assert neighborhood.distances["N4"] == 2
 
     def test_frontier_marks_nodes_with_outside_edges(self, figure1_graph):
-        neighborhood = extract_neighborhood(figure1_graph, "N2", 2)
+        neighborhood = neighborhood_index(figure1_graph).neighborhood("N2", 2)
         # N4 has the cinema edge leaving the fragment
         assert "N4" in neighborhood.frontier
         # N2's own edges are all inside
         assert "N2" not in neighborhood.frontier
 
     def test_directed_neighborhood_smaller(self, figure1_graph):
-        undirected = extract_neighborhood(figure1_graph, "N6", 1)
-        directed = extract_neighborhood(figure1_graph, "N6", 1, directed=True)
+        undirected = neighborhood_index(figure1_graph).neighborhood("N6", 1)
+        directed = neighborhood_index(figure1_graph).neighborhood("N6", 1, directed=True)
         assert set(directed.graph.nodes()) <= set(undirected.graph.nodes())
 
     def test_induced_edges_only(self, figure1_graph):
-        neighborhood = extract_neighborhood(figure1_graph, "N2", 1)
+        neighborhood = neighborhood_index(figure1_graph).neighborhood("N2", 1)
         for source, _, target in neighborhood.graph.edges():
             assert source in neighborhood.graph
             assert target in neighborhood.graph
 
     def test_negative_radius_raises(self, figure1_graph):
         with pytest.raises(ValueError):
-            extract_neighborhood(figure1_graph, "N2", -1)
+            neighborhood_index(figure1_graph).neighborhood("N2", -1)
 
     def test_unknown_center_raises(self, figure1_graph):
         with pytest.raises(NodeNotFoundError):
-            extract_neighborhood(figure1_graph, "ghost", 2)
+            neighborhood_index(figure1_graph).neighborhood("ghost", 2)
 
     def test_contains_helper(self, figure1_graph):
-        neighborhood = extract_neighborhood(figure1_graph, "N2", 1)
+        neighborhood = neighborhood_index(figure1_graph).neighborhood("N2", 1)
         assert neighborhood.contains("N1")
         assert not neighborhood.contains("C1")
 
 
 class TestZoomOut:
     def test_zoom_reveals_new_elements(self, figure1_graph):
-        base = extract_neighborhood(figure1_graph, "N2", 2)
-        delta = zoom_out(figure1_graph, base)
+        base = neighborhood_index(figure1_graph).neighborhood("N2", 2)
+        delta = neighborhood_index(figure1_graph).zoom(base)
         assert delta.current.radius == 3
         assert delta.grew
         assert "C1" in delta.new_nodes
         assert ("N4", "cinema", "C1") in delta.new_edges
 
     def test_zoom_preserves_old_elements(self, figure1_graph):
-        base = extract_neighborhood(figure1_graph, "N2", 2)
-        delta = zoom_out(figure1_graph, base)
+        base = neighborhood_index(figure1_graph).neighborhood("N2", 2)
+        delta = neighborhood_index(figure1_graph).zoom(base)
         assert set(base.graph.nodes()) <= set(delta.current.graph.nodes())
         assert set(base.graph.edges()) <= set(delta.current.graph.edges())
 
     def test_zoom_beyond_graph_adds_nothing(self, figure1_graph):
-        big = extract_neighborhood(figure1_graph, "N2", 10)
-        delta = zoom_out(figure1_graph, big)
+        big = neighborhood_index(figure1_graph).neighborhood("N2", 10)
+        delta = neighborhood_index(figure1_graph).zoom(big)
         assert not delta.grew
 
     def test_zoom_step_two(self, figure1_graph):
-        base = extract_neighborhood(figure1_graph, "N2", 1)
-        delta = zoom_out(figure1_graph, base, step=2)
+        base = neighborhood_index(figure1_graph).neighborhood("N2", 1)
+        delta = neighborhood_index(figure1_graph).zoom(base, step=2)
         assert delta.current.radius == 3
 
     def test_invalid_step_raises(self, figure1_graph):
-        base = extract_neighborhood(figure1_graph, "N2", 1)
+        base = neighborhood_index(figure1_graph).neighborhood("N2", 1)
         with pytest.raises(ValueError):
-            zoom_out(figure1_graph, base, step=0)
+            neighborhood_index(figure1_graph).zoom(base, step=0)
 
 
 class TestChainsAndBounds:
     def test_neighborhood_chain(self, figure1_graph):
-        chain = neighborhood_chain(figure1_graph, "N2", (2, 3))
+        index = neighborhood_index(figure1_graph)
+        chain = tuple(index.neighborhood("N2", radius) for radius in (2, 3))
         assert [item.radius for item in chain] == [2, 3]
         assert all(item.center == "N2" for item in chain)
 
     def test_eccentricity_bound_covers_component(self, figure1_graph):
-        bound = eccentricity_bound(figure1_graph, "N2")
-        full = extract_neighborhood(figure1_graph, "N2", bound)
-        bigger = extract_neighborhood(figure1_graph, "N2", bound + 1)
+        bound = neighborhood_index(figure1_graph).eccentricity_bound("N2")
+        full = neighborhood_index(figure1_graph).neighborhood("N2", bound)
+        bigger = neighborhood_index(figure1_graph).neighborhood("N2", bound + 1)
         assert set(full.graph.nodes()) == set(bigger.graph.nodes())
 
     def test_eccentricity_bound_chain(self, chain5):
-        assert eccentricity_bound(chain5, "c0") == 5
-        assert eccentricity_bound(chain5, "c0", directed=True) == 5
+        assert neighborhood_index(chain5).eccentricity_bound("c0") == 5
+        assert neighborhood_index(chain5).eccentricity_bound("c0", directed=True) == 5
 
     def test_eccentricity_isolated_node(self):
         from repro.graph.labeled_graph import LabeledGraph
 
         graph = LabeledGraph()
         graph.add_node("alone")
-        assert eccentricity_bound(graph, "alone") == 0
+        assert neighborhood_index(graph).eccentricity_bound("alone") == 0

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.exceptions import OracleError
-from repro.graph.neighborhood import extract_neighborhood
 from repro.interactive.console import ConsoleUser, TranscriptUser
 from repro.interactive.session import InteractiveSession
+from repro.learning.language_index import LanguageIndex
 from repro.learning.path_selection import candidate_prefix_tree
 from repro.serving.workspace import default_workspace
 
@@ -46,18 +46,22 @@ class TestConsoleUser:
     def test_wants_zoom_prints_neighborhood(self, figure1_graph):
         io = ScriptedIO(["y"])
         user = ConsoleUser(figure1_graph, input_fn=io.input, output_fn=io.output)
-        neighborhood = extract_neighborhood(figure1_graph, "N2", 2)
+        neighborhood = default_workspace().neighborhoods(figure1_graph).neighborhood("N2", 2)
         assert user.wants_zoom("N2", neighborhood) is True
         assert any("neighborhood of N2" in line for line in io.printed)
 
     def test_validate_path_default_is_highlighted(self, figure1_graph):
-        tree = candidate_prefix_tree(figure1_graph, "N2", ["N5"], max_length=3, preferred_length=3)
+        tree = candidate_prefix_tree(
+            figure1_graph, LanguageIndex(figure1_graph, 3), "N2", ["N5"], preferred_length=3
+        )
         io = ScriptedIO([""])
         user = ConsoleUser(figure1_graph, input_fn=io.input, output_fn=io.output)
         assert user.validate_path("N2", tree) == ("bus", "bus", "cinema")
 
     def test_validate_path_custom_word_and_skip(self, figure1_graph):
-        tree = candidate_prefix_tree(figure1_graph, "N2", ["N5"], max_length=3, preferred_length=3)
+        tree = candidate_prefix_tree(
+            figure1_graph, LanguageIndex(figure1_graph, 3), "N2", ["N5"], preferred_length=3
+        )
         io = ScriptedIO(["bus.tram.cinema"])
         user = ConsoleUser(figure1_graph, input_fn=io.input, output_fn=io.output)
         assert user.validate_path("N2", tree) == ("bus", "tram", "cinema")
@@ -66,7 +70,9 @@ class TestConsoleUser:
         assert user.validate_path("N2", tree) is None
 
     def test_validate_path_rejects_unknown_word_then_retries(self, figure1_graph):
-        tree = candidate_prefix_tree(figure1_graph, "N2", ["N5"], max_length=3, preferred_length=3)
+        tree = candidate_prefix_tree(
+            figure1_graph, LanguageIndex(figure1_graph, 3), "N2", ["N5"], preferred_length=3
+        )
         io = ScriptedIO(["tram.tram", "bus.bus.cinema"])
         user = ConsoleUser(figure1_graph, input_fn=io.input, output_fn=io.output)
         assert user.validate_path("N2", tree) == ("bus", "bus", "cinema")
@@ -119,10 +125,10 @@ class TestTranscriptUser:
                 ("validate", "N2", ("bus", "bus", "cinema")),
             ]
         )
-        neighborhood = extract_neighborhood(figure1_graph, "N2", 2)
+        neighborhood = default_workspace().neighborhoods(figure1_graph).neighborhood("N2", 2)
         assert user.wants_zoom("N2", neighborhood) is False
         assert user.label("N2") is True
-        tree = candidate_prefix_tree(figure1_graph, "N2", ["N5"], max_length=3)
+        tree = candidate_prefix_tree(figure1_graph, LanguageIndex(figure1_graph, 3), "N2", ["N5"])
         assert user.validate_path("N2", tree) == ("bus", "bus", "cinema")
         assert len(user.consumed) == 3
 

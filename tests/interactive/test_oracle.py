@@ -3,10 +3,11 @@
 import pytest
 
 from repro.exceptions import OracleError
-from repro.graph.neighborhood import extract_neighborhood
 from repro.interactive.oracle import NoisyUser, SimulatedUser
+from repro.learning.language_index import LanguageIndex
 from repro.learning.path_selection import candidate_prefix_tree
 from repro.query.rpq import PathQuery
+from repro.serving.workspace import default_workspace
 
 
 class TestLabels:
@@ -35,21 +36,21 @@ class TestLabels:
 class TestZoom:
     def test_positive_node_zooms_until_witness_visible(self, figure1_graph):
         user = SimulatedUser(figure1_graph, "(tram + bus)* . cinema")
-        radius2 = extract_neighborhood(figure1_graph, "N2", 2)
+        radius2 = default_workspace().neighborhoods(figure1_graph).neighborhood("N2", 2)
         assert user.wants_zoom("N2", radius2)  # cinema not yet visible
-        radius3 = extract_neighborhood(figure1_graph, "N2", 3)
+        radius3 = default_workspace().neighborhoods(figure1_graph).neighborhood("N2", 3)
         assert not user.wants_zoom("N2", radius3)
         assert user.zooms_requested == 1
 
     def test_positive_node_with_visible_witness_does_not_zoom(self, figure1_graph):
         user = SimulatedUser(figure1_graph, "cinema")
-        radius2 = extract_neighborhood(figure1_graph, "N4", 2)
+        radius2 = default_workspace().neighborhoods(figure1_graph).neighborhood("N4", 2)
         assert not user.wants_zoom("N4", radius2)
 
     def test_negative_node_zooms_up_to_patience(self, figure1_graph):
         user = SimulatedUser(figure1_graph, "(tram + bus)* . cinema", zoom_patience=2)
-        radius1 = extract_neighborhood(figure1_graph, "N5", 1)
-        radius2 = extract_neighborhood(figure1_graph, "N5", 2)
+        radius1 = default_workspace().neighborhoods(figure1_graph).neighborhood("N5", 1)
+        radius2 = default_workspace().neighborhoods(figure1_graph).neighborhood("N5", 2)
         assert user.wants_zoom("N5", radius1)
         assert not user.wants_zoom("N5", radius2)
 
@@ -57,7 +58,9 @@ class TestZoom:
 class TestPathValidation:
     def test_accepts_highlighted_word_when_goal_accepts_it(self, figure1_graph):
         user = SimulatedUser(figure1_graph, "(tram + bus)* . cinema")
-        tree = candidate_prefix_tree(figure1_graph, "N2", ["N5"], max_length=3, preferred_length=3)
+        tree = candidate_prefix_tree(
+            figure1_graph, LanguageIndex(figure1_graph, 3), "N2", ["N5"], preferred_length=3
+        )
         assert tree.highlighted_word() == ("bus", "bus", "cinema")
         assert user.validate_path("N2", tree) == ("bus", "bus", "cinema")
         assert user.paths_corrected == 0
@@ -65,14 +68,16 @@ class TestPathValidation:
     def test_corrects_highlighted_word_when_goal_rejects_it(self, figure1_graph):
         # goal requires ending with cinema after *exactly* bus.tram
         user = SimulatedUser(figure1_graph, "bus . tram . cinema")
-        tree = candidate_prefix_tree(figure1_graph, "N2", ["N5"], max_length=3, preferred_length=3)
+        tree = candidate_prefix_tree(
+            figure1_graph, LanguageIndex(figure1_graph, 3), "N2", ["N5"], preferred_length=3
+        )
         choice = user.validate_path("N2", tree)
         assert choice == ("bus", "tram", "cinema")
         assert user.paths_corrected == 1
 
     def test_returns_none_when_no_tree_word_is_accepted(self, figure1_graph):
         user = SimulatedUser(figure1_graph, "restaurant")
-        tree = candidate_prefix_tree(figure1_graph, "N4", ["N5"], max_length=1)
+        tree = candidate_prefix_tree(figure1_graph, LanguageIndex(figure1_graph, 1), "N4", ["N5"])
         assert user.validate_path("N4", tree) is None
 
     def test_satisfied_with(self, figure1_graph):

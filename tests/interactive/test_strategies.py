@@ -14,11 +14,12 @@ from repro.interactive.strategies import (
 )
 from repro.learning.examples import ExampleSet
 from repro.learning.informativeness import SessionClassifier, classify_all
+from repro.learning.language_index import LanguageIndex
 
 
 def classifier_for(graph, examples, *, max_length=4) -> SessionClassifier:
     """The session classifier a strategy proposes from."""
-    return SessionClassifier(graph, examples, max_length=max_length)
+    return SessionClassifier(graph, examples, max_length=max_length, index_provider=LanguageIndex)
 
 
 def paper_examples() -> ExampleSet:
@@ -77,7 +78,7 @@ class TestProposals:
 
     def test_informative_strategies_only_propose_informative_nodes(self, figure1_graph):
         examples = paper_examples()
-        statuses = classify_all(figure1_graph, examples, max_length=4)
+        statuses = classify_all(figure1_graph, LanguageIndex(figure1_graph, 4), examples)
         for name in ("random-informative", "breadth", "degree", "most-informative"):
             strategy = make_strategy(name, seed=1)
             proposal = strategy.propose(classifier_for(figure1_graph, examples))
@@ -98,7 +99,7 @@ class TestProposals:
         strategy = MostInformativePathsStrategy()
         examples = ExampleSet()
         proposal = strategy.propose(classifier_for(figure1_graph, examples, max_length=3))
-        statuses = classify_all(figure1_graph, examples, max_length=3)
+        statuses = classify_all(figure1_graph, LanguageIndex(figure1_graph, 3), examples)
         best_score = max(status.score for status in statuses.values() if status.informative)
         assert statuses[proposal].score == best_score
 
@@ -109,9 +110,9 @@ class TestProposals:
         proposal = strategy.propose(classifier_for(figure1_graph, examples, max_length=3))
         # N1 and N3 are the direct neighbours of N2; N3 may be pruned
         # depending on coverage, but the proposal must be within distance 2
-        from repro.graph.neighborhood import extract_neighborhood
+        from repro.serving.workspace import default_workspace
 
-        nearby = extract_neighborhood(figure1_graph, "N2", 2).nodes
+        nearby = default_workspace().neighborhoods(figure1_graph).neighborhood("N2", 2).nodes
         assert proposal in nearby
 
     def test_breadth_with_no_labels_falls_back_to_sorted_order(self, figure1_graph):
@@ -123,7 +124,7 @@ class TestProposals:
         strategy = DegreeStrategy()
         examples = ExampleSet()
         proposal = strategy.propose(classifier_for(figure1_graph, examples, max_length=3))
-        statuses = classify_all(figure1_graph, examples, max_length=3)
+        statuses = classify_all(figure1_graph, LanguageIndex(figure1_graph, 3), examples)
         informative = [node for node, status in statuses.items() if status.informative]
         max_degree = max(figure1_graph.out_degree(node) for node in informative)
         assert figure1_graph.out_degree(proposal) == max_degree

@@ -8,6 +8,7 @@ from repro.learning.informativeness import (
     pruned_nodes,
     pruning_fraction,
 )
+from repro.learning.language_index import LanguageIndex
 
 
 def examples_with(positive=(), negative=(), validated=None) -> ExampleSet:
@@ -73,17 +74,19 @@ class TestClassifyNode:
 class TestClassifyAllAndRanking:
     def test_classify_all_covers_every_node(self, figure1_graph):
         examples = examples_with(negative=["N5"])
-        statuses = classify_all(figure1_graph, examples, max_length=3)
+        statuses = classify_all(figure1_graph, LanguageIndex(figure1_graph, 3), examples)
         assert set(statuses) == set(figure1_graph.nodes())
 
     def test_classify_all_candidates_restriction(self, figure1_graph):
         examples = examples_with()
-        statuses = classify_all(figure1_graph, examples, max_length=3, candidates=["N1", "N2"])
+        statuses = classify_all(
+            figure1_graph, LanguageIndex(figure1_graph, 3), examples, candidates=["N1", "N2"]
+        )
         assert set(statuses) == {"N1", "N2"}
 
     def test_informative_nodes_excludes_labeled_and_pruned(self, figure1_graph):
         examples = examples_with(positive=["N2"], negative=["N5"])
-        ranked = informative_nodes(figure1_graph, examples, max_length=3)
+        ranked = informative_nodes(figure1_graph, LanguageIndex(figure1_graph, 3), examples)
         assert "N2" not in ranked
         assert "N5" not in ranked
         # sinks are pruned
@@ -91,37 +94,48 @@ class TestClassifyAllAndRanking:
 
     def test_informative_nodes_sorted_by_score(self, figure1_graph):
         examples = examples_with()
-        ranked = informative_nodes(figure1_graph, examples, max_length=3)
-        statuses = classify_all(figure1_graph, examples, max_length=3)
+        ranked = informative_nodes(figure1_graph, LanguageIndex(figure1_graph, 3), examples)
+        statuses = classify_all(figure1_graph, LanguageIndex(figure1_graph, 3), examples)
         scores = [statuses[node].score for node in ranked]
         assert scores == sorted(scores, reverse=True)
 
     def test_ranking_deterministic(self, figure1_graph):
         examples = examples_with(negative=["N5"])
-        assert informative_nodes(figure1_graph, examples, max_length=3) == informative_nodes(
-            figure1_graph, examples, max_length=3
-        )
+        index = LanguageIndex(figure1_graph, 3)
+        first = informative_nodes(figure1_graph, index, examples)
+        assert first == informative_nodes(figure1_graph, index, examples)
 
 
 class TestPruning:
     def test_pruned_nodes_grow_with_negatives(self, figure1_graph):
-        few = pruned_nodes(figure1_graph, examples_with(negative=["N5"]), max_length=3)
-        more = pruned_nodes(figure1_graph, examples_with(negative=["N5", "N6"]), max_length=3)
+        few = pruned_nodes(
+            figure1_graph, LanguageIndex(figure1_graph, 3), examples_with(negative=["N5"])
+        )
+        more = pruned_nodes(
+            figure1_graph, LanguageIndex(figure1_graph, 3), examples_with(negative=["N5", "N6"])
+        )
         assert few <= more
         assert len(more) > len(few)
 
     def test_pruned_nodes_never_include_labeled(self, figure1_graph):
         examples = examples_with(positive=["N2"], negative=["N5"])
-        assert not (pruned_nodes(figure1_graph, examples, max_length=3) & examples.labeled_nodes)
+        pruned = pruned_nodes(figure1_graph, LanguageIndex(figure1_graph, 3), examples)
+        assert not (pruned & examples.labeled_nodes)
 
     def test_pruning_fraction_range(self, figure1_graph):
-        fraction = pruning_fraction(figure1_graph, examples_with(negative=["N5"]), max_length=3)
+        fraction = pruning_fraction(
+            figure1_graph, LanguageIndex(figure1_graph, 3), examples_with(negative=["N5"])
+        )
         assert 0.0 <= fraction <= 1.0
 
     def test_pruning_fraction_zero_without_examples_on_rich_graph(self, small_random_graph):
-        fraction = pruning_fraction(small_random_graph, examples_with(), max_length=2)
+        fraction = pruning_fraction(
+            small_random_graph, LanguageIndex(small_random_graph, 2), examples_with()
+        )
         # with no negatives nothing is covered, only sinks are pruned
-        sink_count = sum(1 for node in small_random_graph.nodes() if small_random_graph.out_degree(node) == 0)
+        sink_count = sum(
+            1 for node in small_random_graph.nodes() if small_random_graph.out_degree(node) == 0
+        )
         expected = sink_count / small_random_graph.node_count
         assert abs(fraction - expected) < 1e-9
 
@@ -133,4 +147,4 @@ class TestPruning:
                 examples.add_positive(node)
             else:
                 examples.add_negative(node)
-        assert pruning_fraction(figure1_graph, examples, max_length=3) == 0.0
+        assert pruning_fraction(figure1_graph, LanguageIndex(figure1_graph, 3), examples) == 0.0

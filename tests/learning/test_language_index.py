@@ -173,6 +173,20 @@ def _random_step(rng, graph, examples, max_length):
 
 
 class TestSessionClassifierMatchesScratch:
+    def test_scratch_oracle_reads_no_language_index(self, figure1_graph, monkeypatch):
+        # the oracle the classifier is checked against must not share the
+        # structure the classifier is built on
+        def refuse(*args, **kwargs):
+            raise AssertionError("the scratch path reached a LanguageIndex")
+
+        monkeypatch.setattr(LanguageIndex, "__init__", refuse)
+        monkeypatch.setattr(GraphWorkspace, "language_index", refuse)
+        examples = ExampleSet()
+        examples.add_positive("N2", validated_word=("bus",))
+        examples.add_negative("N5")
+        statuses = classify_all_scratch(figure1_graph, examples, max_length=3)
+        assert statuses["N5"].labeled and statuses["C1"].implied_negative
+
     @pytest.mark.parametrize("seed", range(10))
     def test_random_graphs_random_sequences(self, seed):
         rng = random.Random(seed)
@@ -181,7 +195,9 @@ class TestSessionClassifierMatchesScratch:
         )
         max_length = rng.choice((2, 3, 4))
         examples = ExampleSet()
-        classifier = SessionClassifier(graph, examples, max_length=max_length)
+        classifier = SessionClassifier(
+            graph, examples, max_length=max_length, index_provider=LanguageIndex
+        )
         assert classifier.statuses() == classify_all_scratch(
             graph, examples, max_length=max_length
         )
@@ -195,7 +211,7 @@ class TestSessionClassifierMatchesScratch:
     def test_informative_ranking_matches_scratch_order(self, figure1_graph):
         examples = ExampleSet()
         examples.add_negative("N5")
-        ranked = informative_nodes(figure1_graph, examples, max_length=3)
+        ranked = informative_nodes(figure1_graph, LanguageIndex(figure1_graph, 3), examples)
         statuses = classify_all_scratch(figure1_graph, examples, max_length=3)
         expected = [status for status in statuses.values() if status.informative]
         expected.sort(key=lambda status: (status.score, str(status.node)))
@@ -205,7 +221,9 @@ class TestSessionClassifierMatchesScratch:
     def test_graph_mutation_invalidates_classifier(self, figure1_graph):
         examples = ExampleSet()
         examples.add_negative("N5")
-        classifier = SessionClassifier(figure1_graph, examples, max_length=3)
+        classifier = SessionClassifier(
+            figure1_graph, examples, max_length=3, index_provider=LanguageIndex
+        )
         classifier.statuses()
         figure1_graph.add_edge("N4", "tram", "N2")
         assert classifier.statuses() == classify_all_scratch(
@@ -216,7 +234,9 @@ class TestSessionClassifierMatchesScratch:
     def test_replaced_validated_word_triggers_rebuild(self, figure1_graph):
         examples = ExampleSet()
         examples.add_positive("N2", validated_word=("bus",))
-        classifier = SessionClassifier(figure1_graph, examples, max_length=3)
+        classifier = SessionClassifier(
+            figure1_graph, examples, max_length=3, index_provider=LanguageIndex
+        )
         classifier.statuses()
         examples.set_validated_word("N2", ("bus", "bus", "cinema"))
         assert classifier.statuses() == classify_all_scratch(
@@ -241,14 +261,18 @@ class TestSessionClassifierMatchesScratch:
 
     def test_classify_all_unknown_candidate_raises(self, figure1_graph):
         with pytest.raises(NodeNotFoundError):
-            classify_all(figure1_graph, ExampleSet(), max_length=2, candidates=["ghost"])
+            classify_all(
+                figure1_graph, LanguageIndex(figure1_graph, 2), ExampleSet(), candidates=["ghost"]
+            )
 
     def test_labeled_node_outside_graph_matches_scratch(self, figure1_graph):
         # a labelled node absent from the graph (e.g. examples recorded
         # against a larger graph) classifies nothing; both delta branches
         # of refresh must tolerate it like classify_all_scratch does
         examples = ExampleSet()
-        classifier = SessionClassifier(figure1_graph, examples, max_length=3)
+        classifier = SessionClassifier(
+            figure1_graph, examples, max_length=3, index_provider=LanguageIndex
+        )
         classifier.statuses()
         examples.add_positive("ghost")  # label-only delta, no cover growth
         assert classifier.statuses() == classify_all_scratch(
@@ -267,7 +291,7 @@ class TestOptionalAwareScore:
     def test_no_uncovered_sorts_below_any_uncovered(self, figure1_graph):
         examples = ExampleSet()
         examples.add_negative("N6")
-        statuses = classify_all(figure1_graph, examples, max_length=2)
+        statuses = classify_all(figure1_graph, LanguageIndex(figure1_graph, 2), examples)
         exhausted = [s for s in statuses.values() if s.shortest_uncovered_length is None]
         alive = [s for s in statuses.values() if s.shortest_uncovered_length is not None]
         assert exhausted and alive
@@ -275,7 +299,7 @@ class TestOptionalAwareScore:
 
     def test_score_is_self_describing(self, figure1_graph):
         examples = ExampleSet()
-        statuses = classify_all(figure1_graph, examples, max_length=3)
+        statuses = classify_all(figure1_graph, LanguageIndex(figure1_graph, 3), examples)
         for status in statuses.values():
             count, has_uncovered, negated = status.score
             assert count == status.uncovered_word_count
@@ -293,7 +317,7 @@ class TestCompatibilityOracle:
     def test_no_negatives_everything_compatible(self, figure1_graph):
         from repro.automata.prefix_tree import build_pta
 
-        oracle = CompatibilityOracle(figure1_graph, [], max_length=3)
+        oracle = CompatibilityOracle(figure1_graph, LanguageIndex(figure1_graph, 3), [])
         assert oracle.compatible(build_pta([("tram",)]))
 
     def test_empty_word_acceptance_is_incompatible(self, figure1_graph):
@@ -301,7 +325,7 @@ class TestCompatibilityOracle:
 
         dfa = DFA(0)
         dfa.set_accepting(0)
-        oracle = CompatibilityOracle(figure1_graph, ["N5"], max_length=3)
+        oracle = CompatibilityOracle(figure1_graph, LanguageIndex(figure1_graph, 3), ["N5"])
         assert not oracle.compatible(dfa)
 
     def test_matches_engine_predicate_on_random_candidates(self):
@@ -312,7 +336,7 @@ class TestCompatibilityOracle:
             graph = random_graph(20, 60, ("a", "b", "c"), seed=seed + 50)
             nodes = sorted(graph.nodes(), key=str)
             negatives = rng.sample(nodes, 4)
-            oracle = CompatibilityOracle(graph, negatives, max_length=3)
+            oracle = CompatibilityOracle(graph, LanguageIndex(graph, 3), negatives)
             from repro.automata.prefix_tree import build_pta
             from repro.automata.state_merging import _Partition, _merge_and_fold, _quotient
 
@@ -369,7 +393,9 @@ class TestCompatibilityOracle:
             def selects_no_negative(candidate, graph=graph, negatives=negatives):
                 return not any(engine.selects(graph, candidate, node) for node in negatives)
 
-            reference = PathQuery.from_dfa(generalize_pta(learned.sample_words, selects_no_negative))
+            reference = PathQuery.from_dfa(
+                generalize_pta(learned.sample_words, selects_no_negative)
+            )
             assert str(learned.query) == str(reference)
             assert learned.dfa.states == reference.dfa.states
             learned_any = True
@@ -389,3 +415,19 @@ class TestIndexIsASnapshot:
         assert rebuilt is not index
         assert rebuilt.decode(rebuilt.language(node)) == words_from(graph, node, 3)
         assert isinstance(rebuilt, LanguageIndex)
+
+    def test_stale_index_is_rejected_next_to_its_graph(self, figure1_graph):
+        # a function handed both a graph and an index refuses an index of
+        # another graph version instead of silently swapping one in
+        from repro.learning.path_selection import candidate_prefix_tree, validate_word
+
+        index = LanguageIndex(figure1_graph, 3)
+        figure1_graph.add_edge("N2", "tram", "C1")
+        with pytest.raises(ValueError):
+            candidate_prefix_tree(figure1_graph, index, "N2", [])
+        with pytest.raises(ValueError):
+            validate_word(figure1_graph, index, "N2", ("bus",), [])
+        with pytest.raises(ValueError):
+            CompatibilityOracle(figure1_graph, index, [])
+        with pytest.raises(ValueError):
+            classify_all(figure1_graph, index, ExampleSet())

@@ -2,14 +2,20 @@
 
 from repro.learning.examples import ExampleSet
 from repro.learning.informativeness import SessionClassifier
+from repro.learning.language_index import LanguageIndex
 from repro.learning.propagation import propagate_labels, propagate_to_fixpoint
+
+
+def classifier_for(graph, examples, max_length):
+    """A session classifier over a fresh language index."""
+    return SessionClassifier(graph, examples, max_length=max_length, index_provider=LanguageIndex)
 
 
 class TestPropagateLabels:
     def test_implied_negative_propagated(self, figure1_graph):
         examples = ExampleSet()
         examples.add_negative("N6")
-        result = propagate_labels(SessionClassifier(figure1_graph, examples, max_length=2))
+        result = propagate_labels(classifier_for(figure1_graph, examples, 2))
         # sinks (C1, C2, R1, R2) and N3 (all words covered by N6 at bound 2)
         assert "N3" in result.implied_negative
         assert "C1" in result.implied_negative
@@ -18,27 +24,27 @@ class TestPropagateLabels:
     def test_implied_positive_propagated(self, figure1_graph):
         examples = ExampleSet()
         examples.add_positive("N6", validated_word=("cinema",))
-        result = propagate_labels(SessionClassifier(figure1_graph, examples, max_length=3))
+        result = propagate_labels(classifier_for(figure1_graph, examples, 3))
         assert "N4" in result.implied_positive
         assert examples.label_of("N4") is True
 
     def test_propagated_labels_do_not_count_as_interactions(self, figure1_graph):
         examples = ExampleSet()
         examples.add_positive("N6", validated_word=("cinema",))
-        propagate_labels(SessionClassifier(figure1_graph, examples, max_length=3))
+        propagate_labels(classifier_for(figure1_graph, examples, 3))
         assert examples.interaction_count() == 1
 
     def test_idempotent(self, figure1_graph):
         examples = ExampleSet()
         examples.add_negative("N6")
-        classifier = SessionClassifier(figure1_graph, examples, max_length=2)
+        classifier = classifier_for(figure1_graph, examples, 2)
         propagate_labels(classifier)
         second = propagate_labels(classifier)
         assert second.total == 0
 
     def test_no_examples_prunes_only_sinks(self, figure1_graph):
         examples = ExampleSet()
-        result = propagate_labels(SessionClassifier(figure1_graph, examples, max_length=3))
+        result = propagate_labels(classifier_for(figure1_graph, examples, 3))
         assert result.implied_positive == frozenset()
         assert result.implied_negative == {"C1", "C2", "R1", "R2"}
 
@@ -46,7 +52,7 @@ class TestPropagateLabels:
         examples = ExampleSet()
         examples.add_positive("N6", validated_word=("cinema",))
         examples.add_negative("N5")
-        result = propagate_labels(SessionClassifier(figure1_graph, examples, max_length=3))
+        result = propagate_labels(classifier_for(figure1_graph, examples, 3))
         assert result.total == len(result.implied_positive) + len(result.implied_negative)
         assert result.total > 0
 
@@ -55,7 +61,7 @@ class TestPropagateToFixpoint:
     def test_reaches_fixpoint(self, figure1_graph):
         examples = ExampleSet()
         examples.add_negative("N6")
-        classifier = SessionClassifier(figure1_graph, examples, max_length=2)
+        classifier = classifier_for(figure1_graph, examples, 2)
         rounds = propagate_to_fixpoint(classifier)
         assert rounds[-1].total == 0
         # a second fixpoint run adds nothing
@@ -68,13 +74,13 @@ class TestPropagateToFixpoint:
         examples = ExampleSet()
         some_node = sorted(small_transit_graph.nodes(), key=str)[0]
         examples.add_negative(some_node)
-        propagate_to_fixpoint(SessionClassifier(small_transit_graph, examples, max_length=2))
+        propagate_to_fixpoint(classifier_for(small_transit_graph, examples, 2))
         # no node may be both positive and negative
         assert not (examples.positive_nodes & examples.negative_nodes)
 
     def test_max_rounds_respected(self, figure1_graph):
         examples = ExampleSet()
         examples.add_negative("N6")
-        classifier = SessionClassifier(figure1_graph, examples, max_length=2)
+        classifier = classifier_for(figure1_graph, examples, 2)
         rounds = propagate_to_fixpoint(classifier, max_rounds=1)
         assert len(rounds) == 1

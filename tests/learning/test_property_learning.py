@@ -13,6 +13,7 @@ from repro.exceptions import InconsistentExamplesError
 from repro.graph.generators import random_graph
 from repro.learning.examples import ExampleSet
 from repro.learning.informativeness import pruned_nodes
+from repro.learning.language_index import LanguageIndex
 from repro.learning.learner import PathQueryLearner
 from repro.learning.path_selection import consistent_words_for, covered_words
 from repro.serving.workspace import default_workspace
@@ -81,8 +82,8 @@ def test_covered_words_monotone_in_negative_set(graph, goal):
     answer = evaluate(graph, goal)
     negatives = sorted(set(graph.nodes()) - answer, key=str)
     assume(len(negatives) >= 2)
-    small = covered_words(graph, negatives[:1], 3)
-    large = covered_words(graph, negatives[:2], 3)
+    small = covered_words(LanguageIndex(graph, 3), negatives[:1])
+    large = covered_words(LanguageIndex(graph, 3), negatives[:2])
     assert small <= large
 
 
@@ -92,8 +93,8 @@ def test_consistent_words_shrink_as_negatives_grow(graph):
     nodes = sorted(graph.nodes(), key=str)
     assume(len(nodes) >= 3)
     target, first_negative, second_negative = nodes[0], nodes[1], nodes[2]
-    fewer = consistent_words_for(graph, target, [first_negative], max_length=3)
-    more = consistent_words_for(graph, target, [first_negative, second_negative], max_length=3)
+    fewer = consistent_words_for(LanguageIndex(graph, 3), target, [first_negative])
+    more = consistent_words_for(LanguageIndex(graph, 3), target, [first_negative, second_negative])
     assert set(more) <= set(fewer)
 
 
@@ -107,8 +108,8 @@ def test_pruned_set_monotone_in_negatives(graph):
     second = ExampleSet()
     second.add_negative(nodes[0])
     second.add_negative(nodes[1])
-    pruned_first = pruned_nodes(graph, first, max_length=3)
-    pruned_second = pruned_nodes(graph, second, max_length=3)
+    pruned_first = pruned_nodes(graph, LanguageIndex(graph, 3), first)
+    pruned_second = pruned_nodes(graph, LanguageIndex(graph, 3), second)
     # adding a negative can only prune more nodes (minus the newly labelled one)
     assert pruned_first - {nodes[1]} <= pruned_second
 
@@ -124,7 +125,7 @@ def test_validated_words_are_honoured_exactly(graph, goal):
     assume(answer)
     node = sorted(answer, key=str)[0]
     negatives = sorted(set(graph.nodes()) - answer, key=str)[:2]
-    words = consistent_words_for(graph, node, negatives, max_length=4)
+    words = consistent_words_for(LanguageIndex(graph, 4), node, negatives)
     accepted = [word for word in words if goal_query.accepts_word(word)]
     assume(accepted)
     examples = ExampleSet()

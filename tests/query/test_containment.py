@@ -9,6 +9,7 @@ from repro.query.containment import (
     language_equivalent,
     language_included,
 )
+from repro.query.engine import QueryEngine
 from repro.query.rpq import PathQuery
 
 
@@ -41,18 +42,24 @@ class TestInstanceLevel:
         # bus*.cinema and (tram+bus)*.cinema differ as languages but select
         # the same nodes on the Figure 1 instance
         assert not language_equivalent("bus* . cinema", "(tram + bus)* . cinema")
-        assert instance_equivalent(figure1_graph, "bus* . cinema", "(tram + bus)* . cinema")
+        assert instance_equivalent(
+            QueryEngine(), figure1_graph, "bus* . cinema", "(tram + bus)* . cinema"
+        )
 
     def test_instance_difference(self, figure1_graph):
-        only_first, only_second = instance_difference(figure1_graph, "cinema", "restaurant")
+        only_first, only_second = instance_difference(
+            QueryEngine(), figure1_graph, "cinema", "restaurant"
+        )
         assert only_first == {"N4"}
         assert only_second == {"N5"}
 
     def test_instance_difference_empty_when_equal(self, figure1_graph):
-        only_first, only_second = instance_difference(figure1_graph, "bus", "bus")
+        only_first, only_second = instance_difference(QueryEngine(), figure1_graph, "bus", "bus")
         assert only_first == frozenset() and only_second == frozenset()
 
     def test_distinguishing_node(self, figure1_graph):
-        node = distinguishing_node(figure1_graph, "cinema", "(tram + bus)* . cinema")
+        node = distinguishing_node(
+            QueryEngine(), figure1_graph, "cinema", "(tram + bus)* . cinema"
+        )
         assert node in {"N1", "N2"}
-        assert distinguishing_node(figure1_graph, "bus", "bus") is None
+        assert distinguishing_node(QueryEngine(), figure1_graph, "bus", "bus") is None

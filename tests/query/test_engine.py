@@ -6,7 +6,7 @@ import pytest
 
 from repro.graph.generators import random_graph
 from repro.graph.labeled_graph import LabeledGraph
-from repro.query.engine import QueryEngine, compile_plan
+from repro.query.engine import QueryEngine
 from repro.query.rpq import PathQuery
 
 EXPRESSIONS = [
@@ -139,18 +139,21 @@ class TestPlanFingerprints:
             ("(a*)*", "a*"),
             ("a . b + a . c", "a . (b + c)"),
         ]
+        plan = QueryEngine().plan
         for left, right in pairs:
-            assert compile_plan(left).fingerprint == compile_plan(right).fingerprint, (left, right)
+            assert plan(left).fingerprint == plan(right).fingerprint, (left, right)
 
     def test_different_languages_differ(self):
-        assert compile_plan("a . b").fingerprint != compile_plan("b . a").fingerprint
+        plan = QueryEngine().plan
+        assert plan("a . b").fingerprint != plan("b . a").fingerprint
 
     def test_fingerprint_ignores_dead_alphabet(self):
         # `b` can never reach acceptance on the right-hand expression
         query = PathQuery("a")
         padded = query.dfa.copy()
         padded.declare_alphabet({"b"})
-        assert compile_plan(padded).fingerprint == compile_plan("a").fingerprint
+        plan = QueryEngine().plan
+        assert plan(padded).fingerprint == plan("a").fingerprint
 
     def test_non_minimal_dfa_gets_canonical_fingerprint(self):
         from repro.automata.dfa import DFA
@@ -166,10 +169,11 @@ class TestPlanFingerprints:
             bloated.add_state(state)
         bloated.set_accepting(2)
         bloated.add_transition(0, "a", 2)
+        plan = QueryEngine().plan
         assert (
-            compile_plan(redundant).fingerprint
-            == compile_plan(bloated).fingerprint
-            == compile_plan("a").fingerprint
+            plan(redundant).fingerprint
+            == plan(bloated).fingerprint
+            == plan("a").fingerprint
         )
 
     def test_plan_cached_on_path_query(self):
@@ -182,7 +186,7 @@ class TestPlanFingerprints:
     def test_empty_query_plan(self):
         from repro.automata.dfa import DFA
 
-        plan = compile_plan(DFA(0))  # no accepting state: the empty language
+        plan = QueryEngine().plan(DFA(0))  # no accepting state: the empty language
         assert plan.is_empty
         assert plan.fingerprint == "empty"
         graph = LabeledGraph.from_edges([("a", "x", "b")])
@@ -393,5 +397,5 @@ class TestMixedLabelLearning:
         examples = ExampleSet()
         examples.add_positive("s", validated_word=(1, "a"))
         examples.add_positive("m", validated_word=("a",))
-        report = check_consistency(graph, "a . a", examples)
+        report = check_consistency(graph, "a . a", examples, engine=QueryEngine())
         assert report.rejected_words  # (1, 'a') is not in L(a . a)

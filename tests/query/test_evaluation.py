@@ -8,20 +8,19 @@ retired.
 import pytest
 
 from repro.exceptions import NodeNotFoundError
-from repro.query.evaluation import (
-    answer_signature,
-    evaluate_many,
-    selection_metrics,
-    selects,
-    witness_path,
-)
+from repro.query.evaluation import witness_path
 from repro.query.rpq import PathQuery
 from repro.serving.workspace import default_workspace
 
 
+def engine():
+    """The shared workspace engine (the supported path)."""
+    return default_workspace().engine
+
+
 def evaluate(graph, query):
-    """Evaluate through the shared workspace engine (the supported path)."""
-    return default_workspace().engine.evaluate(graph, query)
+    """Evaluate through the shared workspace engine."""
+    return engine().evaluate(graph, query)
 
 
 class TestEvaluateOnFigure1:
@@ -68,23 +67,23 @@ class TestEvaluateGeneral:
         assert evaluate(chain5, "next+") == {f"c{i}" for i in range(5)}
 
     def test_evaluate_many(self, figure1_graph):
-        answers = evaluate_many(figure1_graph, ["cinema", "restaurant"])
+        answers = engine().evaluate_many(figure1_graph, ["cinema", "restaurant"])
         assert answers == [{"N4", "N6"}, {"N5", "N6"}]
 
     def test_evaluation_matches_per_node_selects(self, small_transit_graph):
         query = "(tram + bus)* . cinema"
         answer = evaluate(small_transit_graph, query)
         for node in small_transit_graph.nodes():
-            assert selects(small_transit_graph, query, node) == (node in answer)
+            assert engine().selects(small_transit_graph, query, node) == (node in answer)
 
 
 class TestSelects:
     def test_epsilon_accepting_query_selects_every_node(self, figure1_graph):
-        assert selects(figure1_graph, "bus*", "C1")
+        assert engine().selects(figure1_graph, "bus*", "C1")
 
     def test_unknown_node_raises(self, figure1_graph):
         with pytest.raises(NodeNotFoundError):
-            selects(figure1_graph, "bus", "ghost")
+            engine().selects(figure1_graph, "bus", "ghost")
 
 
 class TestWitnessPath:
@@ -135,28 +134,30 @@ class TestWitnessPath:
 
 class TestMetricsAndSignatures:
     def test_answer_signature_sorted(self, figure1_graph):
-        signature = answer_signature(figure1_graph, "cinema")
+        signature = engine().answer_signature(figure1_graph, "cinema")
         assert signature == ("N4", "N6")
 
     def test_selection_metrics_perfect(self, figure1_graph):
-        metrics = selection_metrics(figure1_graph, "(bus + tram)* . cinema", "(tram + bus)* . cinema")
+        metrics = engine().selection_metrics(
+            figure1_graph, "(bus + tram)* . cinema", "(tram + bus)* . cinema"
+        )
         assert metrics["precision"] == 1.0
         assert metrics["recall"] == 1.0
         assert metrics["f1"] == 1.0
 
     def test_selection_metrics_partial(self, figure1_graph):
-        metrics = selection_metrics(figure1_graph, "cinema", "(tram + bus)* . cinema")
+        metrics = engine().selection_metrics(figure1_graph, "cinema", "(tram + bus)* . cinema")
         assert metrics["precision"] == 1.0
         assert metrics["recall"] == pytest.approx(0.5)
         assert 0 < metrics["f1"] < 1
 
     def test_selection_metrics_empty_learned(self, figure1_graph):
-        metrics = selection_metrics(figure1_graph, "empty", "cinema")
+        metrics = engine().selection_metrics(figure1_graph, "empty", "cinema")
         assert metrics["precision"] == 0.0
         assert metrics["recall"] == 0.0
         assert metrics["f1"] == 0.0
 
     def test_selection_metrics_both_empty(self, figure1_graph):
-        metrics = selection_metrics(figure1_graph, "empty", "metro")
+        metrics = engine().selection_metrics(figure1_graph, "empty", "metro")
         assert metrics["precision"] == 1.0
         assert metrics["recall"] == 1.0

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 from repro.graph.generators import random_graph
 from repro.graph.paths import words_from
-from repro.query.evaluation import selects, witness_path
+from repro.query.evaluation import witness_path
 from repro.serving.workspace import default_workspace
 from repro.query.rpq import PathQuery
 
@@ -60,7 +60,7 @@ def test_witness_exists_iff_selected(graph, expression):
 def test_global_evaluation_agrees_with_per_node_check(graph, expression):
     answer = evaluate(graph, expression)
     for node in graph.nodes():
-        assert selects(graph, expression, node) == (node in answer)
+        assert default_workspace().engine.selects(graph, expression, node) == (node in answer)
 
 
 @given(graphs, _expressions())

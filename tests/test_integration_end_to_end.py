@@ -14,7 +14,6 @@ from repro.interactive.oracle import SimulatedUser
 from repro.interactive.session import InteractiveSession
 from repro.interactive.strategies import make_strategy
 from repro.learning.learner import learn_query
-from repro.query.evaluation import selection_metrics
 from repro.serving.workspace import default_workspace
 from repro.query.rpq import PathQuery
 from repro.workloads.queries import generate_workload
@@ -67,7 +66,7 @@ class TestTransitEndToEnd:
         user = SimulatedUser(graph, goal)
         session = InteractiveSession(graph, user, max_interactions=30, max_path_length=5)
         result = session.run()
-        metrics = selection_metrics(graph, result.learned_query, goal)
+        metrics = session.engine.selection_metrics(graph, result.learned_query, goal)
         assert metrics["precision"] >= 0.5
         assert metrics["recall"] > 0
         # every user-provided label is honoured by the learned query

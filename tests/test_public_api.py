@@ -141,6 +141,92 @@ class TestOneEngineSeam:
             assert parameters[0] == "classifier", function.__name__
             assert "max_length" not in parameters, function.__name__
 
+    # below the entry points every layer is handed the structure it uses
+    #: modules that resolve ``default_workspace()`` for a caller who passed
+    #: no workspace; everything below them takes an engine or index argument
+    ENTRY_POINTS = {
+        "cli.py",
+        "experiments/figures.py",
+        "experiments/harness.py",
+        "interactive/oracle.py",
+        "interactive/session.py",
+        "learning/learner.py",
+        "serving/manager.py",
+        "workloads/queries.py",
+    }
+
+    @staticmethod
+    def _modules():
+        import ast
+        from pathlib import Path
+
+        root = Path(repro.__file__).resolve().parent
+        for path in sorted(root.rglob("*.py")):
+            yield path.relative_to(root).as_posix(), ast.parse(path.read_text(encoding="utf-8"))
+
+    def test_low_layers_do_not_import_serving(self):
+        import ast
+
+        offenders = []
+        for name, tree in self._modules():
+            low_layer = name.split("/")[0] in ("graph", "query", "learning")
+            if not low_layer or name == "learning/learner.py":
+                continue
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    targets = [node.module or ""]
+                elif isinstance(node, ast.Import):
+                    targets = [alias.name for alias in node.names]
+                else:
+                    continue
+                if any(target.split(".")[:2] == ["repro", "serving"] for target in targets):
+                    offenders.append(f"{name}:{node.lineno}")
+        assert offenders == []
+
+    def test_default_workspace_is_resolved_only_at_entry_points(self):
+        import ast
+
+        callers = set()
+        for name, tree in self._modules():
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                function = node.func
+                called = getattr(function, "id", None) or getattr(function, "attr", None)
+                if called == "default_workspace":
+                    callers.add(name)
+        assert callers <= self.ENTRY_POINTS, sorted(callers - self.ENTRY_POINTS)
+
+    def test_path_selection_bound_comes_from_the_index(self):
+        import inspect
+
+        from repro.learning import path_selection
+        from repro.learning.language_index import CompatibilityOracle
+
+        functions = (
+            path_selection.covered_words,
+            path_selection.consistent_words_for,
+            path_selection.select_path,
+            path_selection.candidate_prefix_tree,
+            path_selection.validate_word,
+            CompatibilityOracle,
+        )
+        for function in functions:
+            parameters = inspect.signature(function).parameters
+            assert "max_length" not in parameters, function.__name__
+            assert "index" in parameters, function.__name__
+
+    def test_engine_and_index_provider_are_required(self):
+        import inspect
+
+        from repro.learning.consistency import check_consistency
+        from repro.learning.informativeness import SessionClassifier
+
+        required = ((SessionClassifier, "index_provider"), (check_consistency, "engine"))
+        for function, name in required:
+            parameter = inspect.signature(function).parameters[name]
+            assert parameter.default is inspect.Parameter.empty, f"{function.__name__}({name}=)"
+
 
 class TestSubpackageImports:
     def test_subpackage_all_lists_resolve(self):
